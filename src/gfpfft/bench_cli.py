@@ -26,9 +26,8 @@ import sys
 import time
 
 from . import gfp_field, gfp_mult, oracle
-from .fft import base_case_ops, build_plan, dft_general
+from .fft import IntModField, base_case_ops, build_plan, dft_general
 from .gfp_field import GfpParams, gfp_decode, gfp_encode
-from .word_field import WidePair
 
 # radices with r^k + 1 prime that fit the default prime pair; no sparse
 # 2^a+/-2^b choice exists for k = 64 under the exact coefficient bound, so
@@ -127,12 +126,11 @@ def _verify_checks(k, r, seed, samples):
     """Yields (name, ok, detail) tuples; detail explains the first failure."""
     rng = random.Random(seed)
     params = GfpParams(r, k)
-    crt = gfp_mult.crt_default()
-
+    # the prime set gfp_mul_fft convolves over for this field
+    crt = gfp_mult._resolve_crt(params, gfp_mult.crt_default())
     report = gfp_mult.check_prime_compat(params, crt)
-    if not report.passed:
-        raise gfp_mult.ConfigurationError("; ".join(report.reasons))
-    yield "prime_compat", True, "slack=%d" % report.slack
+    yield "prime_compat", report.passed, "primes=%d slack=%d" % (
+        len(crt.primes), report.slack)
 
     ok, detail = True, ""
     for _ in range(samples):
@@ -176,7 +174,7 @@ def _verify_checks(k, r, seed, samples):
     yield "mul_fft_vs_bigint_vs_oracle", ok, detail, failing
 
     ok, detail = True, ""
-    for ctx in (crt.p1_ctx, crt.p2_ctx):
+    for ctx in crt.ctxs:
         for _ in range(samples):
             x = [rng.randrange(ctx.q) for _ in range(k)]
             y = [rng.randrange(ctx.q) for _ in range(k)]
@@ -189,10 +187,11 @@ def _verify_checks(k, r, seed, samples):
     yield "negacyclic_vs_schoolbook", ok, detail
 
     ok, detail = True, ""
-    half = (crt.p1 * crt.p2 - 1) // 2
+    half = crt.half_range
     for _ in range(samples):
         v = rng.randrange(-half, half + 1)
-        if gfp_mult.crt_combine(v % crt.p1, v % crt.p2, crt).value() != v:
+        residues = [v % q for q in crt.primes]
+        if gfp_mult.crt_combine(*residues, crt).value() != v:
             ok, detail = False, "crt counterexample v=%d" % v
             break
     yield "crt_roundtrip", ok, detail
@@ -200,7 +199,7 @@ def _verify_checks(k, r, seed, samples):
     ok, detail = True, ""
     for _ in range(samples):
         s = rng.randrange(k * r * r)
-        t = gfp_mult.lhc_decompose(WidePair(s & (1 << 64) - 1, s >> 64), r)
+        t = gfp_mult.lhc_decompose(s, r)
         if t.value(r) != s or t.l >= r or t.h >= r:
             ok, detail = False, "lhc counterexample s=%d" % s
             break
@@ -243,25 +242,6 @@ def _pin_to_one_cpu():
         os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
     except (AttributeError, OSError):
         pass
-
-
-def _threads_from_env():
-    raw = os.environ.get("FERMAT_FFT_THREADS", "")
-    if not raw:
-        return 1
-    n = int(raw)
-    if n == 0:
-        n = os.cpu_count() or 1
-    return max(1, n)
-
-
-def _time_one(fn, trials):
-    times = []
-    for _ in range(trials):
-        t0 = time.perf_counter()
-        fn()
-        times.append(time.perf_counter() - t0)
-    return statistics.mean(times), statistics.median(times)
 
 
 def _mul_backends(params, crt):
@@ -324,57 +304,19 @@ def cmd_bench_mul(args, out=None):
     return 0
 
 
-class _PlainModField:
-    """Integers mod p with bignum arithmetic, the pure-bigint baseline."""
-
-    def __init__(self, p):
-        self.p = p
-
-    def add(self, a, b):
-        c = a + b
-        p = self.p
-        return c - p if c >= p else c
-
-    def sub(self, a, b):
-        c = a - b
-        return c + self.p if c < 0 else c
-
-    def mul(self, a, b):
-        return oracle.oracle_mod_mul(self.p, a, b)
-
-    def pow(self, a, e):
-        return pow(a, e, self.p)
-
-    def zero(self):
-        return 0
-
-    def one(self):
-        return 1
-
-    def inv_scalar(self, n):
-        return pow(n, -1, self.p)
-
-    def root_power_mul_factory(self, omega, count):
-        table = [1]
-        for _ in range(count - 1):
-            table.append(table[-1] * omega % self.p)
-        p = self.p
-
-        def mul_pow(a, t):
-            return a * table[t] % p
-
-        return mul_pow
-
-
 def _fft_bench_setup(K, e, backend, r, threads, seed):
-    """Returns (field, plan, make_vector, to_int) for one configuration."""
+    """Returns (field, plan, make_vector, to_int) for one configuration.
+
+    threads is accepted for existing callers and ignored: base cases run
+    serially.
+    """
     k = K // 2
     if r is None:
         r = DEFAULT_RADIX.get(k)
         if r is None:
             raise ValueError("no default radix for K=%d, pass --r" % K)
     params = GfpParams(r, k)
-    # root search over a composite modulus never terminates
+    # name the cause up front; the root search would only run out of draws
     if not oracle.oracle_is_probable_prime(params.p, 40):
         raise ValueError(
             "r^%d+1 is not prime for r=%d, transforms need a prime modulus"
@@ -382,15 +324,15 @@ def _fft_bench_setup(K, e, backend, r, threads, seed):
     N = K ** e
     rng = random.Random(seed)
     if backend == "oracle-bigint":
-        field = _PlainModField(params.p)
+        field = IntModField(params.p)
         omega = gfp_decode(params, _gfp_root(params, N))
-        plan = build_plan(field, K, e, omega, threads=threads)
+        plan = build_plan(field, K, e, omega)
         make = lambda: [rng.randrange(params.p) for _ in range(N)]
         return field, plan, make, lambda v: v
     field = gfp_mult.GfpFftField(
         params, backend="fft" if backend == "gfp-fft" else "bigint")
     omega = _gfp_root(params, N)
-    plan = build_plan(field, K, e, omega, threads=threads)
+    plan = build_plan(field, K, e, omega)
     make = lambda: [gfp_encode(params, rng.randrange(params.p)) for _ in range(N)]
     return field, plan, make, lambda v: gfp_decode(params, v)
 
@@ -420,7 +362,6 @@ def cmd_bench_fft(args, out=None):
     Ks = args.K_list or [16]
     es = args.e_list or [2]
     backends = [args.backend] if args.backend else list(BACKENDS)
-    threads = _threads_from_env()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["K", "e", "backend", "total_seconds",
                      "permutation_seconds", "basecase_seconds",
@@ -433,7 +374,7 @@ def cmd_bench_fft(args, out=None):
             for backend in backends:
                 field, plan, make, to_int = _fft_bench_setup(
                     K, e, backend, parse_radix(args.r) if args.r else None,
-                    threads, args.seed)
+                    None, args.seed)
                 v0 = make()
                 check = list(v0)
                 dft_general(check, plan, field)

@@ -11,17 +11,15 @@ K in {8, 16, 32, 64} are generated once by unrolling the radix-2 splitting
 of DFT_K and are interpreted as a flat list of dft2 / twiddle / swap steps.
 
 A field is any object providing add, sub, mul, pow, zero, one, inv_scalar,
-and root_power_mul_factory (see MontField below for the word-prime model).
+and root_power_mul_factory (see IntModField below for plain residues mod a
+prime, and MontField for the same field in Montgomery form).
 Fields that can multiply by powers of their base root with a cyclic shift
 advertise it through shift / shift_root, which turns most twiddle work into
 linear-time digit moves.
 
 Plans are immutable after construction and shareable; dft_general mutates
-exactly one caller-owned list.  Optional thread parallelism splits the
-independent base-case blocks, with results identical to the serial run.
+exactly one caller-owned list.
 """
-
-from concurrent.futures import ThreadPoolExecutor
 
 from .word_field import mont_convert_in, mont_inv, mont_mul, word_pow
 
@@ -31,27 +29,23 @@ BASE_SIZES = (8, 16, 32, 64)
 # ---------------------------------------------------------------------------
 # stride permutation (the L_m^{mn} operator)
 
-def stride_permutation(v, m, n, block=16, offset=0):
+def stride_permutation(v, m, n, offset=0):
     """Transpose the n x m row-major view of v in place.
 
-    Element j*m + i moves to position i*n + j.  Works through one scratch
-    buffer, walking block x block tiles for locality.  With an offset the
-    permutation applies to the m*n block starting there; deep recursion
-    hits blocks at offset 0 that are shorter than the whole vector.
+    Element j*m + i moves to position i*n + j: column i of the view is the
+    extended slice [i::m], and the columns are laid out one after another.
+    With an offset the permutation applies to the m*n block starting there;
+    deep recursion hits blocks at offset 0 that are shorter than the whole
+    vector.
     """
     if len(v) < offset + m * n:
         raise ValueError("vector length must equal m*n")
     if m == 1 or n == 1:
         return v
-    out = [None] * (m * n)
-    for jb in range(0, n, block):
-        jhi = min(jb + block, n)
-        for ib in range(0, m, block):
-            ihi = min(ib + block, m)
-            for j in range(jb, jhi):
-                base = offset + j * m
-                for i in range(ib, ihi):
-                    out[i * n + j] = v[base + i]
+    seg = v[offset:offset + m * n]
+    out = []
+    for i in range(m):
+        out += seg[i::m]
     v[offset:offset + m * n] = out
     return v
 
@@ -199,8 +193,7 @@ def dft_base(v, omega_base, field, K=None, offset=0):
 class FftPlan:
     """Precomputed data for a size K^e transform at root omega."""
 
-    def __init__(self, field, K, e, omega, cheap_twiddle, threads, block,
-                 shift_step=0):
+    def __init__(self, field, K, e, omega, cheap_twiddle, shift_step=0):
         self.field = field
         self.K = K
         self.e = e
@@ -213,8 +206,6 @@ class FftPlan:
             table.append(field.mul(table[-1], omega))
         self.twiddle_table = table
         self.cheap_twiddle = cheap_twiddle
-        self.threads = threads
-        self.block = block
         self._inverse = None
         self._n_inv = None
 
@@ -224,8 +215,7 @@ class FftPlan:
             field = self.field
             omega_inv = field.pow(self.omega, self.N - 1)
             self._inverse = build_plan(field, self.K, self.e, omega_inv,
-                                       cheap_twiddle=self.cheap_twiddle,
-                                       threads=self.threads)
+                                       cheap_twiddle=self.cheap_twiddle)
         return self._inverse
 
     def n_inv(self):
@@ -234,7 +224,7 @@ class FftPlan:
         return self._n_inv
 
 
-def build_plan(field, K, e, omega, cheap_twiddle=None, threads=1):
+def build_plan(field, K, e, omega, cheap_twiddle=None):
     """Validate omega and precompute the twiddle table.
 
     The primitivity check omega^N = 1, omega^(N/2) = -1 runs here.  For
@@ -267,32 +257,17 @@ def build_plan(field, K, e, omega, cheap_twiddle=None, threads=1):
             raise ValueError("omega^(N/2k) must equal the radix r or 1/r")
         if cheap_twiddle is None:
             cheap_twiddle = True
-        block = 4
     else:
         cheap_twiddle = False
-        block = 16
-    return FftPlan(field, K, e, omega, bool(cheap_twiddle), threads, block,
-                   shift_step)
+    return FftPlan(field, K, e, omega, bool(cheap_twiddle), shift_step)
 
 
 def _base_pass(v, plan, field):
     K = plan.K
     ops = base_case_ops(K)
     mul_pow = field.root_power_mul_factory(plan.omega_base, K)
-    nblocks = plan.N // K
-    if plan.threads > 1 and nblocks > 1:
-        workers = min(plan.threads, nblocks)
-
-        def run(chunk):
-            for j in chunk:
-                _run_base(v, j * K, ops, field, mul_pow)
-
-        chunks = [range(w, nblocks, workers) for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, chunks))
-    else:
-        for j in range(nblocks):
-            _run_base(v, j * K, ops, field, mul_pow)
+    for j in range(0, plan.N, K):
+        _run_base(v, j, ops, field, mul_pow)
 
 
 def dft_general(v, plan, field, profile=None):
@@ -312,13 +287,12 @@ def dft_general(v, plan, field, profile=None):
     def tick(phase, t0):
         profile[phase] = profile.get(phase, 0.0) + (timer() - t0)
 
-    block = plan.block
     t0 = timer() if timer else 0
     for i in range(e - 1):
         size = K ** (e - i)
         sub = size // K
         for j in range(0, N, size):
-            stride_permutation(v, K, sub, block, offset=j)
+            stride_permutation(v, K, sub, offset=j)
     if timer:
         tick("permutation", t0)
 
@@ -343,7 +317,7 @@ def dft_general(v, plan, field, profile=None):
 
         t0 = timer() if timer else 0
         for j in range(0, N, size):
-            stride_permutation(v, m, K, block, offset=j)
+            stride_permutation(v, m, K, offset=j)
         if timer:
             tick("permutation", t0)
 
@@ -354,7 +328,7 @@ def dft_general(v, plan, field, profile=None):
 
         t0 = timer() if timer else 0
         for j in range(0, N, size):
-            stride_permutation(v, K, m, block, offset=j)
+            stride_permutation(v, K, m, offset=j)
         if timer:
             tick("permutation", t0)
     return v
@@ -371,32 +345,73 @@ def dft_inverse(v, plan, field, profile=None):
 
 
 # ---------------------------------------------------------------------------
-# the word-prime field adapter
+# the word-prime field adapters
 
-class MontField:
-    """Field view of Z/qZ on Montgomery residues for the DFT machinery."""
+class IntModField:
+    """Field view of Z/pZ on plain residues in [0, p) for the DFT machinery."""
 
-    def __init__(self, ctx):
-        self.ctx = ctx
+    def __init__(self, p):
+        self.p = p
         self._tables = {}
 
     def add(self, a, b):
         c = a + b
-        q = self.ctx.q
-        return c - q if c >= q else c
+        p = self.p
+        return c - p if c >= p else c
 
     def sub(self, a, b):
         c = a - b
-        return c + self.ctx.q if c < 0 else c
+        return c + self.p if c < 0 else c
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def pow(self, a, e):
+        return pow(a, e, self.p)
+
+    def zero(self):
+        return 0
+
+    def one(self):
+        return 1
+
+    def inv_scalar(self, n):
+        return pow(n, -1, self.p)
+
+    def _power_table(self, omega, count):
+        # [omega^t for t < count] in this field's representation, cached
+        key = (omega, count)
+        table = self._tables.get(key)
+        if table is None:
+            table = [self.one()]
+            for _ in range(count - 1):
+                table.append(self.mul(table[-1], omega))
+            self._tables[key] = table
+        return table
+
+    def root_power_mul_factory(self, omega, count):
+        """Multiplier closure for x * omega^t, t < count, from a power table."""
+        table = self._power_table(omega, count)
+        p = self.p
+
+        def mul_pow(x, t):
+            return x * table[t] % p
+
+        return mul_pow
+
+
+class MontField(IntModField):
+    """Field view of Z/qZ on Montgomery residues for the DFT machinery."""
+
+    def __init__(self, ctx):
+        super().__init__(ctx.q)
+        self.ctx = ctx
 
     def mul(self, a, b):
         return mont_mul(self.ctx, a, b)
 
     def pow(self, a, e):
         return word_pow(self.ctx, a, e)
-
-    def zero(self):
-        return 0
 
     def one(self):
         return self.ctx.one_mont
@@ -405,14 +420,7 @@ class MontField:
         return mont_inv(self.ctx, mont_convert_in(self.ctx, n % self.ctx.q))
 
     def root_power_mul_factory(self, omega, count):
-        """Multiplier closure for x * omega^t, t < count, from a power table."""
-        key = (omega, count)
-        table = self._tables.get(key)
-        if table is None:
-            table = [self.one()]
-            for _ in range(count - 1):
-                table.append(self.mul(table[-1], omega))
-            self._tables[key] = table
+        table = self._power_table(omega, count)
         ctx = self.ctx
 
         def mul_pow(x, t):

@@ -16,6 +16,8 @@ fresh tuples.
 import random
 from dataclasses import dataclass
 
+from .word_field import ROOT_SEARCH_DRAWS
+
 
 @dataclass(frozen=True)
 class GfpParams:
@@ -111,7 +113,8 @@ def gfp_add(params, x, y):
 
 def gfp_sub(params, x, y):
     """x - y mod p.  A borrow out of the top digit is repaid with +1,
-    since the digit loop computed x - y + r^k and r^k = -1 mod p."""
+    since the digit loop computed x - y + r^k and r^k = -1 mod p.
+    Raises ValueError when a digit of y is too large for one borrow."""
     r, k = params.r, params.k
     z = []
     borrow = 0
@@ -120,9 +123,10 @@ def gfp_sub(params, x, y):
         if d < 0:
             d += r
             borrow = 1
+            if d < 0:
+                raise ValueError("non-canonical operand: digit above r")
         else:
             borrow = 0
-        assert d >= 0
         z.append(d)
     if borrow:
         for i in range(k):
@@ -216,7 +220,8 @@ def gfp_find_nth_root(params, N, seed=0, mul=None):
     """A primitive N-th root of unity, deterministic for a given seed.
 
     Draws random candidates c, forms g = c^((p-1)/N), and accepts once
-    g^(N/2) = p - 1.  For prime p roughly half the candidates succeed.
+    g^(N/2) = p - 1.  For prime p roughly half the candidates succeed;
+    ValueError after ROOT_SEARCH_DRAWS failures, as for a composite p.
     """
     if mul is None:
         mul = _default_mul
@@ -230,11 +235,13 @@ def gfp_find_nth_root(params, N, seed=0, mul=None):
     minus_one = (0,) * (params.k - 1) + (params.r,)
     rng = random.Random(seed)
     e = (p - 1) // N
-    while True:
+    for _ in range(ROOT_SEARCH_DRAWS):
         c = rng.randrange(1, p)
         g = gfp_pow(params, gfp_encode(params, c), e, mul)
         if gfp_pow(params, g, N // 2, mul) == minus_one:
             return g
+    raise ValueError("no primitive %d-th root found mod r^%d + 1"
+                     % (N, params.k))
 
 
 def element_to_text(x):

@@ -2,8 +2,8 @@
 
 Two interchangeable pipelines compute x*y for canonical digit vectors:
 
-  gfp_mul_fft     digitwise negacyclic convolution modulo each word prime
-                  of a CRT set, CRT reconstruction of the signed integer
+  gfp_mul_fft     digitwise negacyclic convolution on plain residues modulo
+                  each word prime of a CRT set, CRT reconstruction of the signed integer
                   coefficients, decomposition of each coefficient as
                   l + h*r + c*r^2, and a final shift-and-add over the field.
   gfp_mul_bigint  evaluate at r, multiply as arbitrary-precision integers,
@@ -27,10 +27,9 @@ from itertools import combinations
 from math import gcd, prod
 from typing import NamedTuple
 
-from .fft import MontField, build_plan, dft_general
+from .fft import IntModField, build_plan, dft_general
 from .gfp_field import gfp_add, gfp_encode, gfp_mul_pow_r, gfp_sub
-from .word_field import (MASK64, P1, P2, P3, WidePair, mont_convert_in,
-                         mont_convert_out, mont_inv, mont_mul, word_prime,
+from .word_field import (P1, P2, P3, mont_convert_out, word_prime,
                          word_primitive_root)
 
 
@@ -38,68 +37,26 @@ class ConfigurationError(ValueError):
     """Raised when a (field, prime set) combination cannot be used."""
 
 
-def _as_pair(x):
-    if isinstance(x, WidePair):
-        return x
-    if x < 0 or x >> 128:
-        raise ValueError("value out of two-word range")
-    return WidePair(x & MASK64, x >> 64)
-
-
 # ---------------------------------------------------------------------------
-# reciprocal division
-
-@lru_cache(maxsize=None)
-def _recip128(n):
-    # floor(2^128 / n) as a two-word pair
-    r = (1 << 128) // n
-    return WidePair(r & MASK64, r >> 64)
-
-
-def div_by_const_r(x, r):
-    """Quotient and remainder of a two-word x divided by the word r.
-
-    Multiplies by the precomputed floor(2^128/r) keeping the bits above
-    2^128, then repairs the estimate, which can be short by at most two.
-    Raises OverflowError when the true quotient does not fit one word.
-    """
-    if r < 2:
-        raise ValueError("radix must be at least 2")
-    x = _as_pair(x)
-    rec = _recip128(r)
-    v0 = (x.lo * rec.lo) >> 64
-    v2 = (x.hi * rec.lo + x.lo * rec.hi + v0) >> 64
-    q = x.hi * rec.hi + v2
-    m = (x.hi << 64 | x.lo) - q * r
-    while m >= r:
-        m -= r
-        q += 1
-    if q > MASK64:
-        raise OverflowError("quotient exceeds one word")
-    return q, m
-
+# LHC splitting
 
 class LhcTriple(NamedTuple):
     l: int
     h: int
     c: int
-    sign: bool = False
 
     def value(self, r):
         return self.l + self.h * r + self.c * r * r
 
 
 def lhc_decompose(s, r):
-    """Write the non-negative s as l + h*r + c*r^2 with 0 <= l,h < r.
+    """Write the non-negative int s as l + h*r + c*r^2 with 0 <= l,h < r.
 
-    s is an int or a WidePair.  The caller guarantees s <= k*r^2 and
-    attaches any sign itself.  c stays at most k; radices smaller than k
-    are the only case where c can reach r, and the field-level carry pass
-    downstream absorbs that.
+    The caller guarantees s <= k*r^2 and attaches any sign itself.  c stays
+    at most k; radices smaller than k are the only case where c can reach
+    r, and the field-level carry pass downstream absorbs that.
     """
-    if isinstance(s, WidePair):
-        s = s.value()
-    elif s < 0:
+    if s < 0:
         raise ValueError("value must be non-negative")
     hc, l = divmod(s, r)
     c, h = divmod(hc, r)
@@ -217,11 +174,6 @@ def check_prime_compat(params, crt):
 # ---------------------------------------------------------------------------
 # convolutions over a word prime
 
-class ConvolutionPlan:
-    __slots__ = ("ctx", "field", "n", "in_table", "out_table",
-                 "fft_plan", "fwd_pows", "inv_pows")
-
-
 def _transform_shape(n):
     # n as K^e with K a base-case size, largest K first; None -> naive
     for K in (64, 32, 16, 8):
@@ -234,31 +186,70 @@ def _transform_shape(n):
     return None
 
 
-def _make_plan(ctx, n, in_table, out_table, omega):
-    plan = ConvolutionPlan()
-    plan.ctx = ctx
-    plan.field = MontField(ctx)
-    plan.n = n
-    plan.in_table = in_table
-    plan.out_table = out_table
-    plan.fft_plan = None
-    plan.fwd_pows = None
-    plan.inv_pows = None
-    shape = _transform_shape(n)
-    if shape is not None:
-        K, e = shape
-        plan.fft_plan = build_plan(plan.field, K, e, omega)
-    elif n > 1:
-        fwd = [ctx.one_mont]
-        for _ in range(n - 1):
-            fwd.append(mont_mul(ctx, fwd[-1], omega))
-        omega_inv = mont_inv(ctx, omega)
-        inv = [ctx.one_mont]
-        for _ in range(n - 1):
-            inv.append(mont_mul(ctx, inv[-1], omega_inv))
-        plan.fwd_pows = fwd
-        plan.inv_pows = inv
-    return plan
+class ConvolutionPlan:
+    """Weights and transforms of one length-n convolution mod the prime q.
+
+    Everything is a plain residue in [0, q).  in_table[i] weighs digit i
+    before the forward transform; out_table[i] undoes that weight and the
+    1/n scale after the unscaled inverse.  fwd and inv run the six-step
+    DFT over IntModField(q) when n is a power of a base-case size, else a
+    naive DFT.
+    """
+
+    __slots__ = ("q", "in_table", "out_table", "_field", "_fft", "_pows")
+
+    def __init__(self, q, in_table, out_table, omega):
+        self.q = q
+        self.in_table = in_table
+        self.out_table = out_table
+        n = len(in_table)
+        self._field = IntModField(q)
+        shape = _transform_shape(n)
+        self._fft = self._pows = None
+        if shape is not None:
+            self._fft = build_plan(self._field, *shape, omega)
+        elif n > 1:
+            omega_inv = pow(omega, -1, q)
+            self._pows = ([pow(omega, i, q) for i in range(n)],
+                          [pow(omega_inv, i, q) for i in range(n)])
+
+    def fwd(self, v):
+        if self._fft is not None:
+            dft_general(v, self._fft, self._field)
+        elif self._pows is not None:
+            self._naive_dft(v, self._pows[0])
+
+    def inv(self, v):
+        if self._fft is not None:
+            dft_general(v, self._fft.inverse(), self._field)
+        elif self._pows is not None:
+            self._naive_dft(v, self._pows[1])
+
+    def _naive_dft(self, v, pows):
+        n, q = len(v), self.q
+        v[:] = [sum(v[j] * pows[i * j % n] for j in range(n)) % q
+                for i in range(n)]
+
+
+def _weigh(plan, x):
+    q = plan.q
+    return [d * t % q for d, t in zip(x, plan.in_table)]
+
+
+def _product(plan, a, b):
+    # pointwise product of the transforms of two weighted vectors, inverse
+    # transformed but not yet scaled or unweighted
+    plan.fwd(a)
+    plan.fwd(b)
+    q = plan.q
+    c = [u * w % q for u, w in zip(a, b)]
+    plan.inv(c)
+    return c
+
+
+def _unweigh(plan, c):
+    q = plan.q
+    return tuple(u * t % q for u, t in zip(c, plan.out_table))
 
 
 _nega_plans = {}
@@ -271,25 +262,16 @@ def _nega_plan(ctx, k):
         return plan
     if k < 1 or k & (k - 1):
         raise ValueError("k must be a power of 2")
-    if (ctx.q - 1) % (2 * k):
+    q = ctx.q
+    if (q - 1) % (2 * k):
         raise ValueError("unsupported size: 2k does not divide q - 1")
-    theta = word_primitive_root(ctx, 2 * k)
-    omega = mont_mul(ctx, theta, theta)
-    in_table = []
-    tm = ctx.one_mont
-    for _ in range(k):
-        in_table.append(mont_mul(ctx, tm, ctx.r2))
-        tm = mont_mul(ctx, tm, theta)
-    # out_table[i] = theta^-i / k in standard form: one multiplication per
-    # digit undoes the weighting, the 1/k scale, and the Montgomery factor
-    theta_inv = mont_inv(ctx, theta)
-    acc = mont_inv(ctx, mont_convert_in(ctx, k % ctx.q))
-    out_table = []
-    for _ in range(k):
-        out_table.append(mont_convert_out(ctx, acc))
-        acc = mont_mul(ctx, acc, theta_inv)
-    plan = _make_plan(ctx, k, in_table, out_table, omega)
-    _nega_plans[(ctx.q, k)] = plan
+    theta = mont_convert_out(ctx, word_primitive_root(ctx, 2 * k))
+    theta_inv = pow(theta, -1, q)
+    k_inv = pow(k, -1, q)
+    in_table = [pow(theta, i, q) for i in range(k)]
+    out_table = [k_inv * pow(theta_inv, i, q) % q for i in range(k)]
+    plan = ConvolutionPlan(q, in_table, out_table, theta * theta % q)
+    _nega_plans[(q, k)] = plan
     return plan
 
 
@@ -299,51 +281,17 @@ def _cyclic_plan(ctx, n):
         return plan
     if n < 1 or n & (n - 1):
         raise ValueError("n must be a power of 2")
-    if (ctx.q - 1) % n:
+    q = ctx.q
+    if (q - 1) % n:
         raise ValueError("unsupported size: n does not divide q - 1")
-    omega = word_primitive_root(ctx, n)
-    n_inv = mont_convert_out(ctx, mont_inv(ctx, mont_convert_in(ctx, n % ctx.q)))
-    plan = _make_plan(ctx, n, [ctx.r2] * n, [n_inv] * n, omega)
-    _cyclic_plans[(ctx.q, n)] = plan
+    omega = mont_convert_out(ctx, word_primitive_root(ctx, n))
+    plan = ConvolutionPlan(q, [1] * n, [pow(n, -1, q)] * n, omega)
+    _cyclic_plans[(q, n)] = plan
     return plan
 
 
-def _naive_dft(v, pows, ctx):
-    n = len(v)
-    q = ctx.q
-    out = []
-    for i in range(n):
-        s = 0
-        for j in range(n):
-            s += mont_mul(ctx, v[j], pows[i * j % n])
-        out.append(s % q)
-    v[:] = out
-
-
-def _forward(plan, v):
-    if plan.fft_plan is not None:
-        dft_general(v, plan.fft_plan, plan.field)
-    elif plan.fwd_pows is not None:
-        _naive_dft(v, plan.fwd_pows, plan.ctx)
-
-
-def _inverse_unscaled(plan, v):
-    # the 1/n factor lives in out_table
-    if plan.fft_plan is not None:
-        dft_general(v, plan.fft_plan.inverse(), plan.field)
-    elif plan.inv_pows is not None:
-        _naive_dft(v, plan.inv_pows, plan.ctx)
-
-
 def _convolve(plan, x, y):
-    ctx = plan.ctx
-    a = [mont_mul(ctx, d, t) for d, t in zip(x, plan.in_table)]
-    b = [mont_mul(ctx, d, t) for d, t in zip(y, plan.in_table)]
-    _forward(plan, a)
-    _forward(plan, b)
-    c = [mont_mul(ctx, u, w) for u, w in zip(a, b)]
-    _inverse_unscaled(plan, c)
-    return tuple(mont_mul(ctx, u, t) for u, t in zip(c, plan.out_table))
+    return _unweigh(plan, _product(plan, _weigh(plan, x), _weigh(plan, y)))
 
 
 def _check_reduced(v, n, q):
@@ -357,8 +305,8 @@ def _check_reduced(v, n, q):
 def negacyclic_convolution(x, y, ctx, k):
     """Coefficients of f_x * f_y mod (R^k + 1) mod q.
 
-    Inputs and output are standard-form word vectors; the theta-weighted
-    transforms run in Montgomery form internally.
+    Inputs and output are plain residue vectors; the transforms run on
+    the theta-weighted inputs, theta a primitive 2k-th root of unity.
     """
     plan = _nega_plan(ctx, k)
     _check_reduced(x, k, ctx.q)
@@ -423,7 +371,8 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
     it pass; ConfigurationError means no such extension exists.
 
     profile, when given, accumulates seconds per pipeline step under the
-    keys convert_in, convolution, convert_out, crt, lhc, final.
+    keys convert_in (theta-weighting the digits), convolution, convert_out
+    (unweighting and the 1/k scale), crt, lhc, final.
     """
     crt = _resolve_crt(params, crt)
     k, r = params.k, params.r
@@ -434,30 +383,17 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
         profile[phase] = profile.get(phase, 0.0) + (timer() - t0)
 
     t0 = timer() if timer else 0
-    ins = []
-    for plan in plans:
-        ctx = plan.ctx
-        q = ctx.q
-        ins.append(([mont_mul(ctx, d % q, t) for d, t in zip(x, plan.in_table)],
-                    [mont_mul(ctx, d % q, t) for d, t in zip(y, plan.in_table)]))
+    ins = [(_weigh(plan, x), _weigh(plan, y)) for plan in plans]
     if timer:
         tick("convert_in", t0)
 
     t0 = timer() if timer else 0
-    zs = []
-    for plan, (a, b) in zip(plans, ins):
-        ctx = plan.ctx
-        _forward(plan, a)
-        _forward(plan, b)
-        z = [mont_mul(ctx, u, w) for u, w in zip(a, b)]
-        _inverse_unscaled(plan, z)
-        zs.append(z)
+    zs = [_product(plan, a, b) for plan, (a, b) in zip(plans, ins)]
     if timer:
         tick("convolution", t0)
 
     t0 = timer() if timer else 0
-    zs = [[mont_mul(plan.ctx, u, t) for u, t in zip(z, plan.out_table)]
-          for plan, z in zip(plans, zs)]
+    zs = [_unweigh(plan, z) for plan, z in zip(plans, zs)]
     if timer:
         tick("convert_out", t0)
 

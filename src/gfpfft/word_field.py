@@ -1,12 +1,13 @@
-"""Word-size prime fields in Montgomery form, plus wide-word primitives.
+"""Word-size prime fields and their Montgomery arithmetic.
 
-Everything here models unsigned 64-bit arithmetic with plain Python ints,
-masking where a real machine would wrap.  WordPrime instances are immutable
+A WordPrime carries the constants of Montgomery reduction with R = 2^64,
+masking plain Python ints where a 64-bit machine would wrap.  The
+convolutions run on plain residues; Montgomery form is kept as a tested
+word layer and for the root search.  WordPrime instances are immutable
 and safe to share; all operations are pure functions.
 """
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 MASK64 = (1 << 64) - 1
 
@@ -19,87 +20,33 @@ P2 = 2485986994308513793
 P3 = 1945555039024054273
 
 
-class WidePair(NamedTuple):
-    """A 128-bit value split as hi * 2^64 + lo."""
+# Miller-Rabin with these bases is exact for every n < 3.3 * 10^24
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-    lo: int
-    hi: int
-
-    def value(self):
-        return (self.hi << 64) | self.lo
+# root searches give up after this many candidates; for a prime modulus
+# each draw succeeds with probability 1/2
+ROOT_SEARCH_DRAWS = 64
 
 
-def wide_from_int(n):
-    """Split a non-negative integer < 2^128 into a WidePair."""
-    if n < 0 or n >> 128:
-        raise ValueError("value does not fit in two words")
-    return WidePair(n & MASK64, n >> 64)
-
-
-def wide_mul(a, b):
-    """Full 64x64 -> 128 bit product as a WidePair."""
-    t = a * b
-    return WidePair(t & MASK64, t >> 64)
-
-
-def wide_add(x, y):
-    """(x + y) mod 2^128 and the carry out."""
-    t = x.value() + y.value()
-    return WidePair(t & MASK64, (t >> 64) & MASK64), t >> 128
-
-
-def wide_sub(x, y):
-    """(x - y) mod 2^128 and the borrow out."""
-    t = x.value() - y.value()
-    borrow = 1 if t < 0 else 0
-    t &= (1 << 128) - 1
-    return WidePair(t & MASK64, t >> 64), borrow
-
-
-def wide_cmp(x, y):
-    """-1, 0 or 1 comparing two WidePairs."""
-    if x.hi != y.hi:
-        return -1 if x.hi < y.hi else 1
-    if x.lo != y.lo:
-        return -1 if x.lo < y.lo else 1
-    return 0
-
-
-def wide_mul_hi128(x, y):
-    """Bits [128, 192) of the product of two 128-bit values.
-
-    Follows the three-cross-product dataflow: the x1*y1 term is truncated
-    to one word, so callers must guarantee the true product stays below
-    2^192.  Used for quotient estimation where that bound holds.
-    """
-    s0 = (x.lo * y.lo) >> 64
-    t = x.hi * y.lo
-    s1, c1 = t & MASK64, t >> 64
-    t = x.lo * y.hi
-    s2, c2 = t & MASK64, t >> 64
-    q = (c1 + c2 + x.hi * y.hi) & MASK64
-    col = s0 + s1
-    q = (q + (col >> 64)) & MASK64
-    col = (col & MASK64) + s2
-    return (q + (col >> 64)) & MASK64
-
-
-def word_mod_reciprocal(a, n):
-    """a mod n via a floating-point reciprocal estimate.
-
-    The double-precision estimate of the quotient can be off by a few
-    units when n is small, so the remainder is corrected until it lands
-    in [0, n).  The result is exact for every 64-bit input.
-    """
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    q = int(a * (1.0 / n))
-    rem = a - q * n
-    while rem < 0:
-        rem += n
-    while rem >= n:
-        rem -= n
-    return rem
+def _is_word_prime(n):
+    """Deterministic primality of an odd n < 2^63."""
+    if n in _MR_BASES:
+        return True
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -117,8 +64,11 @@ class WordPrime:
             raise ValueError("q must be an odd prime")
         if q >= 1 << 63:
             raise ValueError("q must be below 2^63")
+        if not _is_word_prime(q):
+            raise ValueError("q = %d is composite" % q)
         q_neg_inv = (-pow(q, -1, 1 << 64)) & MASK64
-        assert (q * q_neg_inv) & MASK64 == MASK64  # Bezout: q * q' = -1 mod 2^64
+        if (q * q_neg_inv) & MASK64 != MASK64:
+            raise ArithmeticError("Bezout check failed: q * q' != -1 mod 2^64")
         return cls(q, q_neg_inv, (1 << 128) % q, (1 << 64) % q)
 
 
@@ -180,6 +130,7 @@ def word_primitive_root(ctx, n, seed=0):
     n must be a power of two dividing q - 1.  Candidates are drawn from a
     seeded RNG, raised to (q-1)/n, and accepted once the half-order check
     g^{n/2} = q - 1 passes, so the result is deterministic per seed.
+    Raises ValueError when ROOT_SEARCH_DRAWS candidates all fail.
     """
     import random
 
@@ -192,8 +143,9 @@ def word_primitive_root(ctx, n, seed=0):
     minus_one = mont_convert_in(ctx, ctx.q - 1)
     rng = random.Random(seed)
     e = (ctx.q - 1) // n
-    while True:
+    for _ in range(ROOT_SEARCH_DRAWS):
         c = rng.randrange(1, ctx.q)
         g = word_pow(ctx, mont_convert_in(ctx, c), e)
         if word_pow(ctx, g, n // 2) == minus_one:
             return g
+    raise ValueError("no primitive %d-th root found mod %d" % (n, ctx.q))

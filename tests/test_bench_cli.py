@@ -102,11 +102,15 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_verify_rejects_oversized_radix(capsys):
+def test_verify_extends_primes_for_oversized_radix(capsys):
+    # k*r^2 = 2^127 outgrows the default pair; verify checks the field
+    # over the three primes gfp_mul_fft uses for it
     rc = main(["verify", "--k", "8", "--r", "2^62", "--trials", "5"])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "configuration error" in err
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 7
+    assert "FAIL" not in out
+    assert "primes=3" in out
 
 
 def test_verify_failure_writes_counterexample(tmp_path, capsys, monkeypatch):

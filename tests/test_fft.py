@@ -4,10 +4,9 @@ import random
 
 import pytest
 
-from gfpfft.bench_cli import _PlainModField
 from gfpfft.fft import (
-    BASE_SIZES, MontField, base_case_ops, build_plan, dft2, dft_base,
-    dft_general, dft_inverse, stride_permutation, twiddle_apply,
+    BASE_SIZES, IntModField, MontField, base_case_ops, build_plan, dft2,
+    dft_base, dft_general, dft_inverse, stride_permutation, twiddle_apply,
 )
 from gfpfft.gfp_field import (
     GfpParams, gfp_decode, gfp_encode, gfp_find_nth_root, gfp_primitive_root,
@@ -35,7 +34,7 @@ GFP_R = (1 << 59) + (1 << 16)  # k=8, r^8+1 prime, supports base case K=16
 
 
 def gf257():
-    return _PlainModField(257)
+    return IntModField(257)
 
 
 def root_257(order):
@@ -59,13 +58,12 @@ def test_stride_permutation_example():
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (8, 4), (16, 16), (8, 64), (3, 5)])
-@pytest.mark.parametrize("block", [1, 2, 16, 100])
-def test_stride_permutation_inverse_pair(m, n, block):
+def test_stride_permutation_inverse_pair(m, n):
     rng = random.Random(SEED)
     v = [rng.randrange(1000) for _ in range(m * n)]
     w = list(v)
-    stride_permutation(w, m, n, block)
-    stride_permutation(w, n, m, block)
+    stride_permutation(w, m, n)
+    stride_permutation(w, n, m)
     assert w == v
 
 
@@ -259,18 +257,6 @@ def test_inverse_roundtrip_gfp():
         v = [gfp_encode(params, rng.randrange(params.p)) for _ in range(N)]
         w = dft_general(list(v), plan, field)
         assert dft_inverse(w, plan, field) == v
-
-
-def test_threads_match_serial():
-    ctx = word_prime(P1)
-    field = MontField(ctx)
-    w = word_primitive_root(ctx, 64)
-    serial = build_plan(field, 8, 2, w)
-    threaded = build_plan(field, 8, 2, w, threads=3)
-    rng = random.Random(SEED)
-    v = [rng.randrange(P1) for _ in range(64)]
-    assert dft_general(list(v), threaded, field) == \
-        dft_general(list(v), serial, field)
 
 
 def test_profile_accumulates_phases():

@@ -101,6 +101,13 @@ def test_add_sub_vs_integers(k, r):
         assert gfp_decode(params, d) == (a - b) % p
 
 
+def test_sub_rejects_noncanonical_digit():
+    # a subtrahend digit of r + 5 leaves a negative digit after the borrow
+    params = GfpParams(10, 4)
+    with pytest.raises(ValueError):
+        gfp_sub(params, gfp_zero(params), (15, 0, 0, 0))
+
+
 @pytest.mark.parametrize("k,r", ALL_CONFIGS)
 def test_mul_pow_r_exhaustive_shift(k, r):
     params = GfpParams(r, k)
@@ -187,6 +194,13 @@ def test_find_nth_root_order_checks():
     assert gfp_pow(params, g, 16, mul_big) == gfp_one(params)
     assert gfp_pow(params, g, 8, mul_big) == gfp_encode(params, params.p - 1)
     assert g == gfp_find_nth_root(params, 16, seed=3)
+
+
+def test_find_nth_root_composite_modulus():
+    # p = 8^2 + 1 = 65 is composite: no candidate passes the order check,
+    # so the bounded search raises instead of looping
+    with pytest.raises(ValueError):
+        gfp_find_nth_root(GfpParams(8, 2), 4)
 
 
 def test_element_text_roundtrip():

@@ -1,4 +1,4 @@
-"""Multiplication pipeline pieces: division, LHC, CRT, convolutions, muls."""
+"""Multiplication pipeline pieces: LHC, CRT, convolutions, muls."""
 
 import random
 
@@ -9,11 +9,11 @@ from gfpfft.gfp_field import (
 )
 from gfpfft.gfp_mult import (
     ConfigurationError, CrtParams, GfpFftField, check_prime_compat,
-    crt_combine, crt_default, cyclic_convolution, div_by_const_r,
-    gfp_mul_bigint, gfp_mul_fft, lhc_decompose, negacyclic_convolution,
+    crt_combine, crt_default, cyclic_convolution, gfp_mul_bigint,
+    gfp_mul_fft, lhc_decompose, negacyclic_convolution,
 )
 from gfpfft.oracle import oracle_mod_mul, oracle_negacyclic
-from gfpfft.word_field import P1, P2, P3, WidePair, word_prime
+from gfpfft.word_field import P1, P2, P3, word_prime
 
 SEED = 0x6B1D
 
@@ -25,44 +25,12 @@ TABLE3 = [
 
 
 # ---------------------------------------------------------------------------
-# reciprocal division
-
-def test_div_by_const_r_examples():
-    r = (1 << 59) + (1 << 16)
-    assert div_by_const_r(WidePair(r, 0), r) == (1, 0)
-    assert div_by_const_r(WidePair(r - 1, 0), r) == (0, r - 1)
-    assert div_by_const_r(7 * r + 3, r) == (7, 3)
-
-
-def test_div_by_const_r_random():
-    rng = random.Random(SEED)
-    for _ in range(10000):
-        r = rng.randrange(2, 1 << 64)
-        q = rng.randrange(1 << 64)
-        m = rng.randrange(r)
-        assert div_by_const_r(q * r + m, r) == (q, m)
-
-
-def test_div_by_const_r_edges():
-    r = (1 << 63) + (1 << 34)
-    top = r * ((1 << 64) - 1) + (r - 1)  # largest input with a one-word quotient
-    assert div_by_const_r(top, r) == ((1 << 64) - 1, r - 1)
-    with pytest.raises(OverflowError):
-        div_by_const_r(WidePair(0, r), r)  # quotient is exactly 2^64
-    with pytest.raises(ValueError):
-        div_by_const_r(WidePair(5, 0), 1)
-    with pytest.raises(ValueError):
-        div_by_const_r(1 << 128, 3)  # does not fit two words
-
-
-# ---------------------------------------------------------------------------
 # LHC splitting
 
 def test_lhc_decompose_frozen_example():
     r = (1 << 63) + (1 << 34)
     t = lhc_decompose(1 << 64, r)
     assert (t.l, t.h, t.c) == ((1 << 63) - (1 << 34), 1, 0)
-    assert not t.sign
     assert t.value(r) == 1 << 64
 
 
@@ -200,7 +168,7 @@ def test_negacyclic_impulses():
     assert negacyclic_convolution(e1, etop, ctx, k) == want
 
 
-@pytest.mark.parametrize("q", [P1, P2])
+@pytest.mark.parametrize("q", [P1, P2, P3])
 @pytest.mark.parametrize("k", [1, 2, 4, 8, 16, 32, 64])
 def test_negacyclic_matches_oracle(q, k):
     ctx = word_prime(q)
@@ -354,6 +322,13 @@ def test_mul_rejects_incompatible_configuration():
     x32 = (1,) * 32
     with pytest.raises(ConfigurationError):  # 2k = 64 does not divide 97 - 1
         gfp_mul_fft(GfpParams(2, 32), CrtParams.make(97, 193), x32, x32)
+
+
+def test_mul_rejects_composite_prime():
+    # 65 = 5 * 13 passes the 2k | q - 1 test for k = 2 but has no root
+    # of unity to transform with; it is refused, never searched forever
+    with pytest.raises(ValueError):
+        gfp_mul_fft(GfpParams(2, 2), CrtParams.make(65, 193), (1, 1), (1, 1))
 
 
 def test_mul_single_digit_field_form_b():

@@ -7,106 +7,11 @@ import pytest
 
 from gfpfft.oracle import oracle_is_probable_prime
 from gfpfft.word_field import (
-    MASK64, P1, P2, P3, WidePair, WordPrime, mont_convert_in, mont_convert_out,
-    mont_inv, mont_mul, wide_add, wide_cmp, wide_from_int, wide_mul,
-    wide_mul_hi128, wide_sub, word_mod_reciprocal, word_pow, word_prime,
-    word_primitive_root,
+    MASK64, P1, P2, P3, WordPrime, mont_convert_in, mont_convert_out,
+    mont_inv, mont_mul, word_pow, word_prime, word_primitive_root,
 )
 
 SEED = 0x77F0
-
-
-def test_wide_from_int_roundtrip():
-    rng = random.Random(SEED)
-    for _ in range(1000):
-        n = rng.randrange(1 << 128)
-        w = wide_from_int(n)
-        assert w.value() == n
-        assert 0 <= w.lo <= MASK64 and 0 <= w.hi <= MASK64
-    assert wide_from_int(0) == WidePair(0, 0)
-    assert wide_from_int((1 << 128) - 1) == WidePair(MASK64, MASK64)
-
-
-def test_wide_from_int_range():
-    with pytest.raises(ValueError):
-        wide_from_int(1 << 128)
-    with pytest.raises(ValueError):
-        wide_from_int(-1)
-
-
-def test_wide_mul():
-    rng = random.Random(SEED)
-    for _ in range(2000):
-        a, b = rng.randrange(1 << 64), rng.randrange(1 << 64)
-        assert wide_mul(a, b).value() == a * b
-    assert wide_mul(MASK64, MASK64).value() == MASK64 * MASK64
-
-
-def test_wide_add_sub():
-    rng = random.Random(SEED)
-    mod = 1 << 128
-    for _ in range(2000):
-        x = wide_from_int(rng.randrange(mod))
-        y = wide_from_int(rng.randrange(mod))
-        s, carry = wide_add(x, y)
-        t = x.value() + y.value()
-        assert s.value() == t % mod and carry == t >> 128
-        d, borrow = wide_sub(x, y)
-        u = x.value() - y.value()
-        assert d.value() == u % mod
-        assert borrow == (1 if u < 0 else 0)
-
-
-def test_wide_cmp():
-    a = wide_from_int(5)
-    b = wide_from_int(1 << 70)
-    assert wide_cmp(a, b) == -1
-    assert wide_cmp(b, a) == 1
-    assert wide_cmp(a, WidePair(5, 0)) == 0
-
-
-def test_wide_mul_hi128():
-    # exact as long as the true product stays below 2^192
-    rng = random.Random(SEED)
-    for _ in range(2000):
-        x = rng.randrange(1 << 128)
-        y = rng.randrange(1 << 64)
-        got = wide_mul_hi128(wide_from_int(x), wide_from_int(y))
-        assert got == (x * y) >> 128
-    for _ in range(2000):
-        x = rng.randrange(1 << 96)
-        y = rng.randrange(1 << 96)
-        got = wide_mul_hi128(wide_from_int(x), wide_from_int(y))
-        assert got == (x * y) >> 128
-
-
-def test_wide_mul_hi128_quotient_shape():
-    # the shape used for reduction: t < p^2 times floor(2^128/p)
-    rng = random.Random(SEED)
-    for p in (P1, P2):
-        recip = wide_from_int((1 << 128) // p)
-        for _ in range(2000):
-            t = rng.randrange(p * p)
-            q = wide_mul_hi128(wide_from_int(t), recip)
-            assert q in (t // p, t // p - 1)
-
-
-def test_word_mod_reciprocal_random():
-    rng = random.Random(SEED)
-    for _ in range(100000):
-        a = rng.randrange(1 << 64)
-        n = rng.randrange(2, 1 << 64)
-        assert word_mod_reciprocal(a, n) == a % n
-
-
-def test_word_mod_reciprocal_boundaries():
-    for n in (2, 3, 7, (1 << 32) + 1, P1, MASK64):
-        for a in (0, 1, n - 1, n, n + 1, MASK64):
-            assert word_mod_reciprocal(a, n) == a % n
-    with pytest.raises(ValueError):
-        word_mod_reciprocal(10, 1)
-    with pytest.raises(ValueError):
-        word_mod_reciprocal(10, 0)
 
 
 def test_third_prime_pinned():
@@ -138,6 +43,25 @@ def test_word_prime_rejects():
         WordPrime.make(1)
     with pytest.raises(ValueError):
         WordPrime.make((1 << 63) + 9)
+    with pytest.raises(ValueError):
+        word_prime(65)
+
+
+def test_word_prime_primality_matches_oracle():
+    # every odd q below 2^14, then composites that fool weaker tests: the
+    # Carmichael number 561, strong pseudoprimes 2047 (base 2), 3215031751
+    # (bases 2..7) and 3825123056546413051 (bases 2..23), and 2*P1 + 1
+    for q in range(3, 1 << 14, 2):
+        try:
+            WordPrime.make(q)
+            accepted = True
+        except ValueError:
+            accepted = False
+        assert accepted == oracle_is_probable_prime(q, 40), q
+    for n in (561, 2047, 3215031751, 3825123056546413051, P1 * 2 + 1):
+        assert not oracle_is_probable_prime(n, 40)
+        with pytest.raises(ValueError):
+            WordPrime.make(n)
 
 
 @pytest.mark.parametrize("q", [P1, P2, 257, 97])
@@ -208,3 +132,10 @@ def test_word_primitive_root_rejects():
         word_primitive_root(ctx, 24)
     with pytest.raises(ValueError):
         word_primitive_root(ctx, 1 << 58)  # exceeds the 2-adic part of q-1
+
+
+def test_word_primitive_root_composite_modulus():
+    # 65 = 5 * 13 has no element of order 4 with square -1; the search
+    # must end in ValueError, not loop
+    with pytest.raises(ValueError):
+        word_primitive_root(word_prime(65), 4)
