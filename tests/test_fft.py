@@ -58,13 +58,19 @@ def test_stride_permutation_example():
 
 
 @pytest.mark.parametrize("m,n", [(2, 4), (8, 4), (16, 16), (8, 64), (3, 5)])
-def test_stride_permutation_inverse_pair(m, n):
+@pytest.mark.parametrize("offset", [1, 2, 16, 100])
+def test_stride_permutation_inverse_pair(m, n, offset):
+    # the m*n block sits at the offset, with entries on both sides of it
     rng = random.Random(SEED)
-    v = [rng.randrange(1000) for _ in range(m * n)]
+    v = [rng.randrange(1000) for _ in range(offset + m * n + 3)]
     w = list(v)
-    stride_permutation(w, m, n)
-    stride_permutation(w, n, m)
+    stride_permutation(w, m, n, offset)
+    stride_permutation(w, n, m, offset)
     assert w == v
+    block = v[offset:offset + m * n]
+    stride_permutation(w, m, n, offset)
+    assert w[:offset] == v[:offset] and w[offset + m * n:] == v[offset + m * n:]
+    assert w[offset:offset + m * n] == stride_permutation(block, m, n)
 
 
 def test_stride_permutation_definition():
