@@ -10,10 +10,10 @@ size K^e works over any of the supported coefficient fields.
 from .gfp_field import (GfpParams, gfp_add, gfp_decode, gfp_encode,
                         gfp_find_nth_root, gfp_mul_pow_r, gfp_pow,
                         gfp_primitive_root, gfp_sub)
-from .gfp_mult import (ConfigurationError, CrtParams, GfpFftField,
-                       check_prime_compat, crt_combine, crt_default,
-                       cyclic_convolution, gfp_mul_bigint, gfp_mul_fft,
-                       lhc_decompose, negacyclic_convolution)
+from .gfp_mult import (ConfigurationError, CrtParams, FftOperand,
+                       GfpFftField, check_prime_compat, crt_combine,
+                       crt_default, cyclic_convolution, gfp_mul_bigint,
+                       gfp_mul_fft, lhc_decompose, negacyclic_convolution)
 from .fft import (IntModField, MontField, build_plan, dft_base, dft_general,
                   dft_inverse, stride_permutation, twiddle_apply)
 from .word_field import (P1, P2, P3, WordPrime, mont_convert_in,
@@ -25,8 +25,8 @@ __version__ = "0.1.0"
 __all__ = [
     "GfpParams", "gfp_add", "gfp_sub", "gfp_mul_pow_r", "gfp_pow",
     "gfp_encode", "gfp_decode", "gfp_primitive_root", "gfp_find_nth_root",
-    "ConfigurationError", "CrtParams", "GfpFftField", "check_prime_compat",
-    "crt_combine", "crt_default", "cyclic_convolution",
+    "ConfigurationError", "CrtParams", "FftOperand", "GfpFftField",
+    "check_prime_compat", "crt_combine", "crt_default", "cyclic_convolution",
     "gfp_mul_bigint", "gfp_mul_fft", "lhc_decompose",
     "negacyclic_convolution",
     "IntModField", "MontField", "build_plan", "dft_base", "dft_general", "dft_inverse",

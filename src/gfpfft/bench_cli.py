@@ -166,8 +166,10 @@ def _verify_checks(k, r, seed, samples):
         x, y = gfp_encode(params, a), gfp_encode(params, b)
         u_fft = gfp_mult.gfp_mul_fft(params, crt, x, y)
         u_big = gfp_mult.gfp_mul_bigint(params, x, y)
+        u_prep = gfp_mult.gfp_mul_fft(params, crt, x,
+                                      gfp_mult.FftOperand(params, crt, y))
         want = oracle.oracle_mod_mul(params.p, a, b)
-        if u_fft != u_big or gfp_decode(params, u_fft) != want:
+        if not u_fft == u_big == u_prep or gfp_decode(params, u_fft) != want:
             ok, detail = False, "mul counterexample a=%d b=%d" % (a, b)
             failing = (x, y)
             break

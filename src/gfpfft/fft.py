@@ -11,8 +11,11 @@ K in {8, 16, 32, 64} are generated once by unrolling the radix-2 splitting
 of DFT_K and are interpreted as a flat list of dft2 / twiddle / swap steps.
 
 A field is any object providing add, sub, mul, pow, zero, one, inv_scalar,
-and root_power_mul_factory (see IntModField below for plain residues mod a
-prime, and MontField for the same field in Montgomery form).
+power_table and root_power_mul_factory (see IntModField below for plain
+residues mod a prime, and MontField for the same field in Montgomery form).
+power_table(omega, count) is the field's cached list of omega^t, t < count;
+plans take their twiddle table from it, so a field may store its entries
+in whatever form its mul handles fastest.
 Fields that can multiply by powers of their base root with a cyclic shift
 advertise it through shift / shift_root, which turns most twiddle work into
 linear-time digit moves.
@@ -201,10 +204,7 @@ class FftPlan:
         self.omega = omega
         self.omega_base = field.pow(omega, K ** (e - 1))
         self.shift_step = shift_step
-        table = [field.one()]
-        for _ in range(K ** (e - 1) - 1):
-            table.append(field.mul(table[-1], omega))
-        self.twiddle_table = table
+        self.twiddle_table = field.power_table(omega, K ** (e - 1))
         self.cheap_twiddle = cheap_twiddle
         self._inverse = None
         self._n_inv = None
@@ -378,8 +378,8 @@ class IntModField:
     def inv_scalar(self, n):
         return pow(n, -1, self.p)
 
-    def _power_table(self, omega, count):
-        # [omega^t for t < count] in this field's representation, cached
+    def power_table(self, omega, count):
+        """[omega^t for t < count] in this field's representation, cached."""
         key = (omega, count)
         table = self._tables.get(key)
         if table is None:
@@ -391,7 +391,7 @@ class IntModField:
 
     def root_power_mul_factory(self, omega, count):
         """Multiplier closure for x * omega^t, t < count, from a power table."""
-        table = self._power_table(omega, count)
+        table = self.power_table(omega, count)
         p = self.p
 
         def mul_pow(x, t):
@@ -420,7 +420,7 @@ class MontField(IntModField):
         return mont_inv(self.ctx, mont_convert_in(self.ctx, n % self.ctx.q))
 
     def root_power_mul_factory(self, omega, count):
-        table = self._power_table(omega, count)
+        table = self.power_table(omega, count)
         ctx = self.ctx
 
         def mul_pow(x, t):

@@ -5,9 +5,13 @@ Two interchangeable pipelines compute x*y for canonical digit vectors:
   gfp_mul_fft     digitwise negacyclic convolution on plain residues modulo
                   each word prime of a CRT set, CRT reconstruction of the signed integer
                   coefficients, decomposition of each coefficient as
-                  l + h*r + c*r^2, and a final shift-and-add over the field.
+                  l + h*r + c*r^2 added into digit positions i, i+1, i+2,
+                  and one carry pass over the digits.
   gfp_mul_bigint  evaluate at r, multiply as arbitrary-precision integers,
                   reduce mod p, re-encode.
+
+A constant that multiplies many elements, such as a twiddle factor, is
+best built once as FftOperand(params, crt, y), which keeps its transforms.
 
 The coefficients reach k*r^2, so the primes must satisfy
 k*r^2 <= (q_1*...*q_n - 1)/2 together with 2k | q_i - 1.
@@ -28,7 +32,8 @@ from math import gcd, prod
 from typing import NamedTuple
 
 from .fft import IntModField, build_plan, dft_general
-from .gfp_field import gfp_add, gfp_encode, gfp_mul_pow_r, gfp_sub
+from .gfp_field import (digits_value, gfp_add, gfp_encode, gfp_mul_pow_r,
+                        gfp_sub, is_canonical)
 from .word_field import (P1, P2, P3, mont_convert_out, word_prime,
                          word_primitive_root)
 
@@ -236,11 +241,17 @@ def _weigh(plan, x):
     return [d * t % q for d, t in zip(x, plan.in_table)]
 
 
-def _product(plan, a, b):
-    # pointwise product of the transforms of two weighted vectors, inverse
-    # transformed but not yet scaled or unweighted
-    plan.fwd(a)
+def _spectrum(plan, y):
+    # forward transform of the weighted digits of y
+    b = _weigh(plan, y)
     plan.fwd(b)
+    return b
+
+
+def _product(plan, a, b):
+    # forward transform of the weighted vector a times the spectrum b,
+    # inverse transformed but not yet scaled or unweighted
+    plan.fwd(a)
     q = plan.q
     c = [u * w % q for u, w in zip(a, b)]
     plan.inv(c)
@@ -291,7 +302,7 @@ def _cyclic_plan(ctx, n):
 
 
 def _convolve(plan, x, y):
-    return _unweigh(plan, _product(plan, _weigh(plan, x), _weigh(plan, y)))
+    return _unweigh(plan, _product(plan, _weigh(plan, x), _spectrum(plan, y)))
 
 
 def _check_reduced(v, n, q):
@@ -352,15 +363,26 @@ def _extend_crt(params, crt):
     raise ConfigurationError("; ".join(report.reasons))
 
 
-def _carry_normalize(digits, r):
-    # returns (canonical digit tuple, wrap) where the input vector's value
-    # equals the tuple's value + wrap * r^k
-    carry = 0
-    out = []
-    for d in digits:
-        carry, rem = divmod(d + carry, r)
-        out.append(rem)
-    return tuple(out), carry
+class FftOperand(tuple):
+    """A canonical element that keeps its own transforms.
+
+    Still the plain digit tuple for equality, hashing, copies and every
+    field operation.  spectra holds, per prime of primes, the forward
+    transform of its theta-weighted digits, which gfp_mul_fft reuses as y
+    over those primes: 4 NTTs per product instead of 6 over two primes."""
+
+    def __new__(cls, params, crt, y):
+        if not is_canonical(params, y):
+            raise ValueError("non-canonical element")
+        self = super().__new__(cls, y)
+        crt = _resolve_crt(params, crt)
+        self.primes = crt.primes
+        self.spectra = tuple(tuple(_spectrum(_nega_plan(ctx, params.k), y))
+                             for ctx in crt.ctxs)
+        return self
+
+    def __reduce__(self):
+        return tuple, (tuple(self),)
 
 
 def gfp_mul_fft(params, crt, x, y, profile=None):
@@ -368,11 +390,13 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
 
     The convolutions run over crt's primes when check_prime_compat passes
     for them, otherwise over crt plus the fewest library primes that make
-    it pass; ConfigurationError means no such extension exists.
+    it pass; ConfigurationError means no such extension exists.  A y built
+    as FftOperand over that prime set brings its spectra along.
 
     profile, when given, accumulates seconds per pipeline step under the
-    keys convert_in (theta-weighting the digits), convolution, convert_out
-    (unweighting and the 1/k scale), crt, lhc, final.
+    keys convert_in (theta-weighting x), convolution (the transforms and
+    the pointwise product), convert_out (unweighting and the 1/k scale),
+    crt, lhc (splitting and placing the coefficients), final (carries).
     """
     crt = _resolve_crt(params, crt)
     k, r = params.k, params.r
@@ -383,12 +407,14 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
         profile[phase] = profile.get(phase, 0.0) + (timer() - t0)
 
     t0 = timer() if timer else 0
-    ins = [(_weigh(plan, x), _weigh(plan, y)) for plan in plans]
+    xs = [_weigh(plan, x) for plan in plans]
     if timer:
         tick("convert_in", t0)
 
     t0 = timer() if timer else 0
-    zs = [_product(plan, a, b) for plan, (a, b) in zip(plans, ins)]
+    ys = (y.spectra if isinstance(y, FftOperand) and y.primes == crt.primes
+          else [_spectrum(plan, y) for plan in plans])
+    zs = [_product(plan, a, b) for plan, a, b in zip(plans, xs, ys)]
     if timer:
         tick("convolution", t0)
 
@@ -403,42 +429,37 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
         tick("crt", t0)
 
     t0 = timer() if timer else 0
+    # coefficient i is l + h*r + c*r^2 at r^i: its signed parts go to digit
+    # positions i, i+1, i+2, of which k and k+1 are folded back below
     bound = k * r * r
-    l_pos = [0] * k
-    h_pos = [0] * k
-    c_pos = [0] * k
-    l_neg = [0] * k
-    h_neg = [0] * k
-    c_neg = [0] * k
+    acc = [0] * (k + 2)
     for i, s in enumerate(coeffs):
         mag = s.magnitude
-        if not mag:
-            continue
         if mag > bound:
             raise ValueError("coefficient exceeds k*r^2: inputs are not "
                              "canonical field elements")
-        t = lhc_decompose(mag, r)
-        if s.negative:
-            l_neg[i], h_neg[i], c_neg[i] = t.l, t.h, t.c
-        else:
-            l_pos[i], h_pos[i], c_pos[i] = t.l, t.h, t.c
+        l, h, c = lhc_decompose(mag, r)
+        sign = -1 if s.negative else 1
+        acc[i] += sign * l
+        acc[i + 1] += sign * h
+        acc[i + 2] += sign * c
     if timer:
         tick("lhc", t0)
 
     t0 = timer() if timer else 0
-    u = tuple(l_pos)
-    u = gfp_add(params, u, gfp_mul_pow_r(params, tuple(h_pos), 1))
-    cp, wrap_p = _carry_normalize(c_pos, r)
-    u = gfp_add(params, u, gfp_mul_pow_r(params, cp, 2))
-    u = gfp_sub(params, u, tuple(l_neg))
-    u = gfp_sub(params, u, gfp_mul_pow_r(params, tuple(h_neg), 1))
-    cn, wrap_n = _carry_normalize(c_neg, r)
-    u = gfp_sub(params, u, gfp_mul_pow_r(params, cn, 2))
-    # a wrap means the c vector overflowed into r^k, worth -1 in the field
-    if wrap_p:
-        u = gfp_sub(params, u, gfp_encode(params, wrap_p * r * r % params.p))
-    if wrap_n:
-        u = gfp_add(params, u, gfp_encode(params, wrap_n * r * r % params.p))
+    # r^k = -1: each wrap past k negates (for k = 1, c wraps twice)
+    for j in (k, k + 1):
+        wraps, low = divmod(j, k)
+        acc[low] += -acc[j] if wraps & 1 else acc[j]
+    carry = 0
+    for j in range(k):
+        carry, acc[j] = divmod(acc[j] + carry, r)
+    u = tuple(acc[:k])
+    # the carry left over sits at r^k = -1
+    if carry > 0:
+        u = gfp_sub(params, u, gfp_encode(params, carry))
+    elif carry < 0:
+        u = gfp_add(params, u, gfp_encode(params, -carry))
     if timer:
         tick("final", t0)
     return u
@@ -446,13 +467,8 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
 
 def gfp_mul_bigint(params, x, y):
     """Reference product: evaluate at r, multiply as integers, re-encode."""
-    xv = 0
-    for d in reversed(x):
-        xv = xv * params.r + d
-    yv = 0
-    for d in reversed(y):
-        yv = yv * params.r + d
-    return gfp_encode(params, xv * yv % params.p)
+    xv, yv = digits_value(params, x), digits_value(params, y)
+    return gfp_encode(params, xv * yv)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +508,8 @@ class GfpFftField:
         return gfp_mul_bigint(self.params, a, b)
 
     def pow(self, a, e):
-        n = self.params.p
-        return gfp_encode(self.params, pow(self._decode(a), e, n))
+        params = self.params
+        return gfp_encode(params, pow(digits_value(params, a), e, params.p))
 
     def zero(self):
         return (0,) * self.params.k
@@ -502,16 +518,28 @@ class GfpFftField:
         return gfp_encode(self.params, 1)
 
     def inv_scalar(self, n):
-        return gfp_encode(self.params, pow(n, -1, self.params.p))
+        params = self.params
+        return self._prepared(gfp_encode(params, pow(n, -1, params.p)))
 
     def shift(self, a, i):
         return gfp_mul_pow_r(self.params, a, i)
 
-    def _decode(self, a):
-        v = 0
-        for d in reversed(a):
-            v = v * self.params.r + d
-        return v % self.params.p
+    def _prepared(self, a):
+        # a in the form mul takes fastest as its right operand
+        if self.backend == "fft":
+            return FftOperand(self.params, self.crt, a)
+        return a
+
+    def power_table(self, omega, count):
+        """[omega^t for t < count], cached; FftOperands on the fft backend."""
+        key = (omega, count)
+        table = self._tables.get(key)
+        if table is None:
+            table = [self.one()]
+            for _ in range(count - 1):
+                table.append(self.mul(table[-1], omega))
+            table = self._tables[key] = [self._prepared(t) for t in table]
+        return table
 
     def root_power_mul_factory(self, omega, count):
         if omega == self.shift_root and count <= self.two_k:
@@ -521,12 +549,7 @@ class GfpFftField:
             params = self.params
             two_k = self.two_k
             return lambda a, t: gfp_mul_pow_r(params, a, (two_k - t) % two_k)
-        table = self._tables.get((omega, count))
-        if table is None:
-            table = [self.one()]
-            for _ in range(count - 1):
-                table.append(self.mul(table[-1], omega))
-            self._tables[(omega, count)] = table
+        table = self.power_table(omega, count)
 
         def mul_pow(a, t):
             return self.mul(a, table[t])

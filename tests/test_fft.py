@@ -11,7 +11,7 @@ from gfpfft.fft import (
 from gfpfft.gfp_field import (
     GfpParams, gfp_decode, gfp_encode, gfp_find_nth_root, gfp_primitive_root,
 )
-from gfpfft.gfp_mult import GfpFftField
+from gfpfft.gfp_mult import FftOperand, GfpFftField
 from gfpfft.oracle import oracle_naive_dft
 from gfpfft.word_field import (
     P1, mont_convert_in, mont_convert_out, word_prime, word_primitive_root,
@@ -301,6 +301,25 @@ def test_cheap_twiddle_identity():
         lhs = field.mul(field.shift(x, i), field.pow(omega, j))
         rhs = field.mul(x, field.pow(omega, i * N // K + j))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("backend", ["fft", "bigint"])
+def test_gfp_plan_takes_twiddle_table_from_field(backend):
+    # one power table per field: plan twiddles and generic base-case
+    # factories share it, and the fft backend stores prepared operands
+    params = GfpParams(GFP_R, 8)
+    field = GfpFftField(params, backend=backend)
+    omega = gfp_root(params, 256)
+    plan = build_plan(field, 16, 2, omega)
+    table = field.power_table(omega, 16)
+    assert plan.twiddle_table is table
+    kind = FftOperand if backend == "fft" else tuple
+    assert all(type(t) is kind for t in table)
+    assert table == [field.pow(omega, t) for t in range(16)]
+    assert type(plan.n_inv()) is kind and plan.n_inv() is plan.n_inv()
+    rng = random.Random(SEED)
+    v = [gfp_encode(params, rng.randrange(params.p)) for _ in range(256)]
+    assert dft_inverse(dft_general(list(v), plan, field), plan, field) == v
 
 
 def test_gfp_plan_base_must_match_2k():

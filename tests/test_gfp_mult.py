@@ -1,5 +1,6 @@
 """Multiplication pipeline pieces: LHC, CRT, convolutions, muls."""
 
+import pickle
 import random
 
 import pytest
@@ -8,9 +9,9 @@ from gfpfft.gfp_field import (
     GfpParams, gfp_decode, gfp_encode, gfp_mul_pow_r, gfp_one,
 )
 from gfpfft.gfp_mult import (
-    ConfigurationError, CrtParams, GfpFftField, check_prime_compat,
-    crt_combine, crt_default, cyclic_convolution, gfp_mul_bigint,
-    gfp_mul_fft, lhc_decompose, negacyclic_convolution,
+    ConfigurationError, CrtParams, FftOperand, GfpFftField,
+    check_prime_compat, crt_combine, crt_default, cyclic_convolution,
+    gfp_mul_bigint, gfp_mul_fft, lhc_decompose, negacyclic_convolution,
 )
 from gfpfft.oracle import oracle_mod_mul, oracle_negacyclic
 from gfpfft.word_field import P1, P2, P3, word_prime
@@ -262,8 +263,8 @@ def test_mul_fft_vs_bigint_vs_oracle(k, r):
 
 @pytest.mark.parametrize("k,r", [(4, 2), (8, 2), (16, 2)])
 def test_mul_tiny_radix_carry_paths(k, r):
-    # k > r drives the c lane past the radix, exercising the carry
-    # normalization and the r^k wrap fixups
+    # k > r drives the c lane past the radix, so the carry pass moves
+    # more than one unit per digit and the wrapped parts grow
     params = GfpParams(r, k)
     crt = crt_default()
     p = params.p
@@ -303,6 +304,96 @@ def test_mul_profile_steps():
     assert set(profile) == {"convert_in", "convolution", "convert_out",
                             "crt", "lhc", "final"}
     assert all(t >= 0 for t in profile.values())
+
+
+def _specials_and_random(params, rng, count):
+    p, r = params.p, params.r
+    specials = [0, 1, r % p, p - 2, p - 1]
+    pairs = [(a, b) for a in specials for b in specials]
+    return pairs + [(rng.randrange(p), rng.randrange(p)) for _ in range(count)]
+
+
+@pytest.mark.parametrize("k,r", TABLE3 + [
+    (8, (1 << 63) + (1 << 34)), (8, 1 << 62),   # three primes
+    (1, (1 << 59) + (1 << 16)),
+    (32, 2), (8, 3),                             # r < k
+])
+def test_fft_operand_matches_plain_and_bigint(k, r):
+    params = GfpParams(r, k)
+    crt = crt_default()
+    rng = random.Random(SEED ^ (k * r))
+    for a, b in _specials_and_random(params, rng, 40):
+        x, y = gfp_encode(params, a), gfp_encode(params, b)
+        prepared = FftOperand(params, crt, y)
+        assert prepared == y and hash(prepared) == hash(y)
+        u = gfp_mul_fft(params, crt, x, prepared)
+        assert u == gfp_mul_fft(params, crt, x, y)
+        assert u == gfp_mul_bigint(params, x, y)
+    # a copy is the plain element
+    assert type(pickle.loads(pickle.dumps(prepared))) is tuple
+
+
+def test_fft_operand_over_other_primes_falls_back():
+    params = GfpParams(10, 4)
+    rng = random.Random(SEED)
+    crt = crt_default()
+    for _ in range(20):
+        x = gfp_encode(params, rng.randrange(params.p))
+        y = gfp_encode(params, rng.randrange(params.p))
+        other = FftOperand(params, CrtParams.make(P1, P3), y)
+        assert other.primes == (P1, P3) != crt.primes
+        u = gfp_mul_fft(params, crt, x, other)
+        assert u == gfp_mul_bigint(params, x, y)
+
+
+def test_fft_operand_rejects_noncanonical():
+    params = GfpParams(10, 4)
+    with pytest.raises(ValueError):
+        FftOperand(params, crt_default(), (15, 0, 0, 0))  # digit r + 5
+    with pytest.raises(ValueError):
+        FftOperand(params, crt_default(), (1, 0, 0))
+
+
+def _leftover_carry(params, x, y):
+    # the carry the reassembly leaves at r^k, from schoolbook negacyclic
+    # coefficients split into l, h, c and placed with one sign per wrap
+    k, r = params.k, params.r
+    s = [0] * k
+    for a in range(k):
+        for b in range(k):
+            sign = 1 if a + b < k else -1
+            s[(a + b) % k] += sign * x[a] * y[b]
+    total = 0
+    for i, si in enumerate(s):
+        t = lhc_decompose(abs(si), r)
+        for pos, part in enumerate(t, i):
+            wraps, low = divmod(pos, k)
+            total += (-1) ** (wraps + (si < 0)) * part * r ** low
+    return total // r ** k
+
+
+@pytest.mark.parametrize("k,r", [(1, (1 << 59) + (1 << 16)), (2, 6),
+                                 (8, (1 << 59) + (1 << 16))])
+def test_mul_reassembly_carry_cases(k, r):
+    # k = 1 cannot leave a positive carry: its one coefficient is at
+    # most r^2, which splits as l - h + c < r at digit 0
+    params = GfpParams(r, k)
+    crt = crt_default()
+    rng = random.Random(SEED + k)
+    seen = set()
+    for a, b in _specials_and_random(params, rng, 200):
+        x, y = gfp_encode(params, a), gfp_encode(params, b)
+        carry = _leftover_carry(params, x, y)
+        seen.add((carry > 0) - (carry < 0))
+        u = gfp_mul_fft(params, crt, x, y)
+        assert u == gfp_mul_bigint(params, x, y)
+        assert to_int(params, u) == a * b % params.p
+    assert seen == ({-1, 0} if k == 1 else {-1, 0, 1})
+    minus_one = gfp_encode(params, params.p - 1)
+    assert gfp_mul_fft(params, crt, minus_one, gfp_one(params)) == minus_one
+    assert gfp_mul_fft(params, crt, gfp_one(params), minus_one) == minus_one
+    zero = gfp_encode(params, 0)
+    assert gfp_mul_fft(params, crt, minus_one, zero) == zero
 
 
 def test_mul_rejects_incompatible_configuration():
