@@ -11,14 +11,18 @@ K in {8, 16, 32, 64} are generated once by unrolling the radix-2 splitting
 of DFT_K and are interpreted as a flat list of dft2 / twiddle / swap steps.
 
 A field is any object providing add, sub, mul, pow, zero, one, inv_scalar,
-power_table and root_power_mul_factory (see IntModField below for plain
-residues mod a prime, and MontField for the same field in Montgomery form).
-power_table(omega, count) is the field's cached list of omega^t, t < count;
-plans take their twiddle table from it, so a field may store its entries
-in whatever form its mul handles fastest.
-Fields that can multiply by powers of their base root with a cyclic shift
-advertise it through shift / shift_root, which turns most twiddle work into
-linear-time digit moves.
+power_table and root_power_mul_factory; IntModField below implements them
+for plain residues mod a prime, and MontField and GfpFftField inherit the
+last two.  power_table(omega, count) is the field's cached list of omega^t,
+t < count; plans take their twiddle table from it, so a field may store its
+entries in whatever form its mul handles fastest.
+root_power_mul_factory(omega, count) returns the closure x, t -> x*omega^t
+that the base cases and every twiddle stage use for powers of the base
+root.  It multiplies by the power table unless the field knows a cheaper
+way: GfpFftField returns a digit rotation when omega is r or 1/r, which
+turns the base cases and most twiddle work into linear-time digit moves.
+A field that can rotate also has shift_root and two_k; only build_plan reads
+them, to check that K = 2k and that omega^(N/2k) is r or 1/r.
 
 Plans are immutable after construction and shareable; dft_general mutates
 exactly one caller-owned list.
@@ -61,7 +65,8 @@ def twiddle_apply(v, m, n, omega_i, field, offset=0):
 
     Exponents are never formed with a generic power: each block keeps a
     running row step omega_i^j and each lane multiplies the running factor
-    by it, so the stage costs O(m*n) multiplications.
+    by it, so the stage costs O(m*n) multiplications.  A standalone
+    helper: dft_general does not call it.
     """
     if m == 1:
         return v
@@ -78,22 +83,17 @@ def twiddle_apply(v, m, n, omega_i, field, offset=0):
     return v
 
 
-def _twiddle_level_cheap(v, off, m, n, stride, plan, field):
-    # factor omega_i^(i*j) split as (r^step)^a * omega_i^b with
-    # a, b = divmod(i*j, m); the shift part is a cyclic digit rotation,
-    # walked backwards when the plan's root lands on 1/r (inverse plans)
-    table = plan.twiddle_table
-    shift = field.shift
-    mul = field.mul
-    forward = plan.shift_step > 0
-    two_k = field.two_k
+def _twiddle_level_cheap(v, off, m, n, stride, table, mul_base, mul):
+    # factor omega_i^(i*j) split as omega_base^a * omega_i^b with
+    # a, b = divmod(i*j, m), since omega_i^m is the base root; mul_base
+    # is the field's multiplier by powers of that root
     for j in range(1, n):
         base = off + j * m
         for i in range(1, m):
             a, b = divmod(i * j, m)
             x = v[base + i]
             if a:
-                x = shift(x, a if forward else two_k - a)
+                x = mul_base(x, a)
             if b:
                 x = mul(x, table[b * stride])
             v[base + i] = x
@@ -196,16 +196,14 @@ def dft_base(v, omega_base, field, K=None, offset=0):
 class FftPlan:
     """Precomputed data for a size K^e transform at root omega."""
 
-    def __init__(self, field, K, e, omega, cheap_twiddle, shift_step=0):
+    def __init__(self, field, K, e, omega):
         self.field = field
         self.K = K
         self.e = e
         self.N = K ** e
         self.omega = omega
         self.omega_base = field.pow(omega, K ** (e - 1))
-        self.shift_step = shift_step
         self.twiddle_table = field.power_table(omega, K ** (e - 1))
-        self.cheap_twiddle = cheap_twiddle
         self._inverse = None
         self._n_inv = None
 
@@ -214,8 +212,7 @@ class FftPlan:
         if self._inverse is None:
             field = self.field
             omega_inv = field.pow(self.omega, self.N - 1)
-            self._inverse = build_plan(field, self.K, self.e, omega_inv,
-                                       cheap_twiddle=self.cheap_twiddle)
+            self._inverse = build_plan(field, self.K, self.e, omega_inv)
         return self._inverse
 
     def n_inv(self):
@@ -224,13 +221,14 @@ class FftPlan:
         return self._n_inv
 
 
-def build_plan(field, K, e, omega, cheap_twiddle=None):
+def build_plan(field, K, e, omega):
     """Validate omega and precompute the twiddle table.
 
     The primitivity check omega^N = 1, omega^(N/2) = -1 runs here.  For
-    shift-capable fields the base-case constraint K = 2k is enforced and
+    fields with a shift root the base-case constraint K = 2k is enforced and
     omega^(N/2k) must equal the shift root r, or its inverse for plans
-    running the transform backwards.
+    running the transform backwards, so that the base root is one the
+    field multiplies by with a digit rotation.
     """
     if K not in BASE_SIZES:
         raise ValueError("unsupported base-case size")
@@ -242,32 +240,21 @@ def build_plan(field, K, e, omega, cheap_twiddle=None):
     if field.pow(omega, N) != one or field.pow(omega, N // 2) != minus_one:
         raise ValueError("omega is not a primitive N-th root")
     shift_root = getattr(field, "shift_root", None)
-    shift_step = 0
     if shift_root is not None:
         two_k = field.two_k
         if K != two_k:
             raise ValueError("base-case size must equal 2k for this field")
-        head = field.pow(omega, N // two_k)
-        if head == shift_root:
-            shift_step = 1
-        elif head == getattr(field, "shift_root_inv", None):
-            # inverse plans land here: shifts walk the rotation backwards
-            shift_step = -1
-        else:
+        # inverse plans land on 1/r
+        if field.pow(omega, N // two_k) not in (shift_root, field.shift_root_inv):
             raise ValueError("omega^(N/2k) must equal the radix r or 1/r")
-        if cheap_twiddle is None:
-            cheap_twiddle = True
-    else:
-        cheap_twiddle = False
-    return FftPlan(field, K, e, omega, bool(cheap_twiddle), shift_step)
+    return FftPlan(field, K, e, omega)
 
 
-def _base_pass(v, plan, field):
+def _base_pass(v, plan, field, mul_base):
     K = plan.K
     ops = base_case_ops(K)
-    mul_pow = field.root_power_mul_factory(plan.omega_base, K)
     for j in range(0, plan.N, K):
-        _run_base(v, j, ops, field, mul_pow)
+        _run_base(v, j, ops, field, mul_base)
 
 
 def dft_general(v, plan, field, profile=None):
@@ -296,8 +283,9 @@ def dft_general(v, plan, field, profile=None):
     if timer:
         tick("permutation", t0)
 
+    mul_base = field.root_power_mul_factory(plan.omega_base, K)
     t0 = timer() if timer else 0
-    _base_pass(v, plan, field)
+    _base_pass(v, plan, field, mul_base)
     if timer:
         tick("basecase", t0)
 
@@ -308,10 +296,8 @@ def dft_general(v, plan, field, profile=None):
 
         t0 = timer() if timer else 0
         for j in range(0, N, size):
-            if plan.cheap_twiddle:
-                _twiddle_level_cheap(v, j, m, K, stride, plan, field)
-            else:
-                twiddle_apply(v, m, K, plan.twiddle_table[stride], field, offset=j)
+            _twiddle_level_cheap(v, j, m, K, stride, plan.twiddle_table,
+                                 mul_base, field.mul)
         if timer:
             tick("twiddle", t0)
 
@@ -322,7 +308,7 @@ def dft_general(v, plan, field, profile=None):
             tick("permutation", t0)
 
         t0 = timer() if timer else 0
-        _base_pass(v, plan, field)
+        _base_pass(v, plan, field, mul_base)
         if timer:
             tick("basecase", t0)
 
@@ -348,7 +334,11 @@ def dft_inverse(v, plan, field, profile=None):
 # the word-prime field adapters
 
 class IntModField:
-    """Field view of Z/pZ on plain residues in [0, p) for the DFT machinery."""
+    """Field view of Z/pZ on plain residues in [0, p) for the DFT machinery.
+
+    The base of the other fields: power_table and root_power_mul_factory
+    are written once here on top of one, mul and the _prepared hook.
+    """
 
     def __init__(self, p):
         self.p = p
@@ -378,24 +368,28 @@ class IntModField:
     def inv_scalar(self, n):
         return pow(n, -1, self.p)
 
+    def _prepared(self, a):
+        # a in the form mul takes fastest as its right operand
+        return a
+
     def power_table(self, omega, count):
-        """[omega^t for t < count] in this field's representation, cached."""
+        """[omega^t for t < count], cached, each entry _prepared."""
         key = (omega, count)
         table = self._tables.get(key)
         if table is None:
             table = [self.one()]
             for _ in range(count - 1):
                 table.append(self.mul(table[-1], omega))
-            self._tables[key] = table
+            table = self._tables[key] = [self._prepared(t) for t in table]
         return table
 
     def root_power_mul_factory(self, omega, count):
         """Multiplier closure for x * omega^t, t < count, from a power table."""
         table = self.power_table(omega, count)
-        p = self.p
+        mul = self.mul
 
         def mul_pow(x, t):
-            return x * table[t] % p
+            return mul(x, table[t])
 
         return mul_pow
 
@@ -418,12 +412,3 @@ class MontField(IntModField):
 
     def inv_scalar(self, n):
         return mont_inv(self.ctx, mont_convert_in(self.ctx, n % self.ctx.q))
-
-    def root_power_mul_factory(self, omega, count):
-        table = self.power_table(omega, count)
-        ctx = self.ctx
-
-        def mul_pow(x, t):
-            return mont_mul(ctx, x, table[t])
-
-        return mul_pow

@@ -23,14 +23,13 @@ from .word_field import ROOT_SEARCH_DRAWS
 class GfpParams:
     """Field parameters (r, k).  p = r^k + 1 is implied.
 
-    trusted_prime records whether the caller has vouched for p being prime
-    (the oracle module can check).  Digit arithmetic is well defined either
-    way; field semantics such as inverses need primality.
+    Digit arithmetic is well defined for any such p; field semantics such
+    as inverses and roots of unity need p prime (the oracle module can
+    check).
     """
 
     r: int
     k: int
-    trusted_prime: bool = False
 
     def __post_init__(self):
         if self.k < 1 or self.k & (self.k - 1):
@@ -92,6 +91,7 @@ def gfp_add(params, x, y):
     A carry surviving the top digit means the plain sum reached r^k; the
     fixup borrows one from the lowest non-zero digit (setting the digits
     below it to r-1), and the all-zero case is exactly r^k = p - 1.
+    Raises ValueError when a digit of x or y is too large for one carry.
     """
     r, k = params.r, params.k
     z = []
@@ -101,6 +101,9 @@ def gfp_add(params, x, y):
         if s >= r:
             s -= r
             carry = 1
+            # only (p-1) + (p-1), digits r + r, leaves r: in the top digit
+            if s >= r and (s > r or i < k - 1):
+                raise ValueError("non-canonical operand: digit above r")
         else:
             carry = 0
         z.append(s)
@@ -186,50 +189,40 @@ def gfp_pow(params, x, e, mul):
     return acc
 
 
-def _default_mul(params, x, y):
-    # decode/encode multiply, used when root finding is given no backend
-    return gfp_encode(params, gfp_decode(params, x) * gfp_decode(params, y))
-
-
-def gfp_primitive_root(params, N, g, mul=None):
+def gfp_primitive_root(params, N, g):
     """From an N-th primitive root g, the root omega with omega^(N/2k) = r.
 
     Walks b = a, a^2, a^3, ... with a = g^(N/2k) until b equals r; then
     omega = g^j.  The walk is bounded by 2k steps because a has order
     dividing 2k.  Self-checks omega^N = 1 and omega^(N/2) = p - 1.
     """
-    if mul is None:
-        mul = _default_mul
-    k = params.k
+    k, p = params.k, params.p
     if N % (2 * k):
         raise ValueError("N must be a multiple of 2k")
-    r_elem = gfp_encode(params, params.r)
-    a = gfp_pow(params, g, N // (2 * k), mul)
+    g = gfp_decode(params, g)
+    a = pow(g, N // (2 * k), p)
     b = a
     j = 1
-    while b != r_elem:
+    while b != params.r:
         j += 1
         if j > 2 * k:
             raise ValueError("input root is not primitive (search exhausted)")
-        b = mul(params, a, b)
-    omega = gfp_pow(params, g, j, mul)
-    minus_one = (0,) * (k - 1) + (params.r,)
-    if gfp_pow(params, omega, N, mul) != gfp_one(params):
+        b = a * b % p
+    omega = pow(g, j, p)
+    if pow(omega, N, p) != 1:
         raise ValueError("root self-check failed: omega^N != 1")
-    if gfp_pow(params, omega, N // 2, mul) != minus_one:
+    if pow(omega, N // 2, p) != p - 1:
         raise ValueError("root self-check failed: omega^(N/2) != -1")
-    return omega
+    return gfp_encode(params, omega)
 
 
-def gfp_find_nth_root(params, N, seed=0, mul=None):
+def gfp_find_nth_root(params, N, seed=0):
     """A primitive N-th root of unity, deterministic for a given seed.
 
     Draws random candidates c, forms g = c^((p-1)/N), and accepts once
     g^(N/2) = p - 1.  For prime p roughly half the candidates succeed;
     ValueError after ROOT_SEARCH_DRAWS failures, as for a composite p.
     """
-    if mul is None:
-        mul = _default_mul
     if N < 1 or N & (N - 1):
         raise ValueError("N must be a power of two")
     p = params.p
@@ -237,14 +230,12 @@ def gfp_find_nth_root(params, N, seed=0, mul=None):
         raise ValueError("N does not divide p - 1")
     if N == 1:
         return gfp_one(params)
-    minus_one = (0,) * (params.k - 1) + (params.r,)
     rng = random.Random(seed)
     e = (p - 1) // N
     for _ in range(ROOT_SEARCH_DRAWS):
-        c = rng.randrange(1, p)
-        g = gfp_pow(params, gfp_encode(params, c), e, mul)
-        if gfp_pow(params, g, N // 2, mul) == minus_one:
-            return g
+        g = pow(rng.randrange(1, p), e, p)
+        if pow(g, N // 2, p) == p - 1:
+            return gfp_encode(params, g)
     raise ValueError("no primitive %d-th root found mod r^%d + 1"
                      % (N, params.k))
 

@@ -102,14 +102,6 @@ class CrtParams:
     def p2(self):
         return self.primes[1]
 
-    @property
-    def p1_ctx(self):
-        return self.ctxs[0]
-
-    @property
-    def p2_ctx(self):
-        return self.ctxs[1]
-
     @classmethod
     def make(cls, q1=P1, q2=P2, *more):
         primes = (q1, q2) + more
@@ -474,12 +466,14 @@ def gfp_mul_bigint(params, x, y):
 # ---------------------------------------------------------------------------
 # field adapter: GF(p) elements for the fft machinery
 
-class GfpFftField:
+class GfpFftField(IntModField):
     """Digit-vector field view used by dft_general over GF(r^k + 1).
 
     mul dispatches to the FFT pipeline or the bigint reference according
-    to backend; multiplications by powers of the base root use the cyclic
-    shift, which plans detect through shift/shift_root/two_k.
+    to backend.  The power tables of IntModField hold FftOperands on the
+    fft backend, and root_power_mul_factory multiplies by powers of r or
+    1/r with a cyclic digit rotation; build_plan checks through shift_root
+    and two_k that a plan's base root is one of those two.
     """
 
     def __init__(self, params, crt=None, backend="fft"):
@@ -487,6 +481,7 @@ class GfpFftField:
             raise ValueError("unknown backend")
         if backend == "fft":
             crt = _resolve_crt(params, crt if crt is not None else crt_default())
+        super().__init__(params.p)
         self.params = params
         self.crt = crt
         self.backend = backend
@@ -494,7 +489,6 @@ class GfpFftField:
         self.shift_root = gfp_encode(params, params.r)
         # r^(2k-1) = 1/r, the root inverse transforms align with
         self.shift_root_inv = self.shift(self.one(), self.two_k - 1)
-        self._tables = {}
 
     def add(self, a, b):
         return gfp_add(self.params, a, b)
@@ -525,33 +519,16 @@ class GfpFftField:
         return gfp_mul_pow_r(self.params, a, i)
 
     def _prepared(self, a):
-        # a in the form mul takes fastest as its right operand
         if self.backend == "fft":
             return FftOperand(self.params, self.crt, a)
         return a
 
-    def power_table(self, omega, count):
-        """[omega^t for t < count], cached; FftOperands on the fft backend."""
-        key = (omega, count)
-        table = self._tables.get(key)
-        if table is None:
-            table = [self.one()]
-            for _ in range(count - 1):
-                table.append(self.mul(table[-1], omega))
-            table = self._tables[key] = [self._prepared(t) for t in table]
-        return table
-
     def root_power_mul_factory(self, omega, count):
-        if omega == self.shift_root and count <= self.two_k:
+        if count <= self.two_k:
             params = self.params
-            return lambda a, t: gfp_mul_pow_r(params, a, t)
-        if omega == self.shift_root_inv and count <= self.two_k:
-            params = self.params
-            two_k = self.two_k
-            return lambda a, t: gfp_mul_pow_r(params, a, (two_k - t) % two_k)
-        table = self.power_table(omega, count)
-
-        def mul_pow(a, t):
-            return self.mul(a, table[t])
-
-        return mul_pow
+            if omega == self.shift_root:
+                return lambda a, t: gfp_mul_pow_r(params, a, t)
+            if omega == self.shift_root_inv:
+                two_k = self.two_k
+                return lambda a, t: gfp_mul_pow_r(params, a, (two_k - t) % two_k)
+        return super().root_power_mul_factory(omega, count)

@@ -277,11 +277,10 @@ def test_profile_accumulates_phases():
 # ---------------------------------------------------------------------------
 # GFP plan constraints and the cheap twiddle path
 
-def test_gfp_plan_cheap_twiddle_default():
+def test_gfp_plan_base_root_is_radix():
     params = GfpParams(GFP_R, 8)
     field = GfpFftField(params, backend="bigint")
     plan = build_plan(field, 16, 2, gfp_root(params, 256))
-    assert plan.cheap_twiddle
     assert plan.omega_base == field.shift_root
 
 

@@ -108,6 +108,18 @@ def test_sub_rejects_noncanonical_digit():
         gfp_sub(params, gfp_zero(params), (15, 0, 0, 0))
 
 
+def test_add_rejects_noncanonical_digit():
+    # a digit of 25 stays above r = 10 after one carry subtract; the
+    # top digit of (p-1) + (p-1) is the one place r may remain
+    params = GfpParams(10, 4)
+    with pytest.raises(ValueError):
+        gfp_add(params, (25, 0, 0, 0), gfp_zero(params))
+    with pytest.raises(ValueError):
+        gfp_add(params, gfp_zero(params), (0, 0, 0, 21))
+    minus_one = gfp_encode(params, params.p - 1)
+    assert gfp_add(params, minus_one, minus_one) == gfp_encode(params, params.p - 2)
+
+
 @pytest.mark.parametrize("k,r", ALL_CONFIGS)
 def test_mul_pow_r_exhaustive_shift(k, r):
     params = GfpParams(r, k)
