@@ -12,9 +12,9 @@ from .gfp_field import (GfpParams, gfp_add, gfp_decode, gfp_encode,
                         gfp_primitive_root, gfp_sub)
 from .gfp_mult import (ConfigurationError, CrtParams, FftOperand,
                        GfpFftField, check_prime_compat, crt_combine,
-                       crt_default, cyclic_convolution, gfp_mul_bigint,
+                       crt_default, gfp_mul_bigint,
                        gfp_mul_fft, lhc_decompose, negacyclic_convolution)
-from .fft import (IntModField, MontField, build_plan, dft_base, dft_general,
+from .fft import (IntModField, MontField, build_plan, dft_general,
                   dft_inverse, stride_permutation, twiddle_apply)
 from .word_field import (P1, P2, P3, WordPrime, mont_convert_in,
                          mont_convert_out, mont_inv, mont_mul, word_pow,
@@ -26,10 +26,10 @@ __all__ = [
     "GfpParams", "gfp_add", "gfp_sub", "gfp_mul_pow_r", "gfp_pow",
     "gfp_encode", "gfp_decode", "gfp_primitive_root", "gfp_find_nth_root",
     "ConfigurationError", "CrtParams", "FftOperand", "GfpFftField",
-    "check_prime_compat", "crt_combine", "crt_default", "cyclic_convolution",
+    "check_prime_compat", "crt_combine", "crt_default",
     "gfp_mul_bigint", "gfp_mul_fft", "lhc_decompose",
     "negacyclic_convolution",
-    "IntModField", "MontField", "build_plan", "dft_base", "dft_general", "dft_inverse",
+    "IntModField", "MontField", "build_plan", "dft_general", "dft_inverse",
     "stride_permutation", "twiddle_apply",
     "P1", "P2", "P3", "WordPrime", "mont_convert_in", "mont_convert_out",
     "mont_inv", "mont_mul", "word_pow", "word_prime", "word_primitive_root",

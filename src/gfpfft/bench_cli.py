@@ -28,6 +28,7 @@ import time
 from . import gfp_field, gfp_mult, oracle
 from .fft import IntModField, base_case_ops, build_plan, dft_general
 from .gfp_field import GfpParams, gfp_decode, gfp_encode
+from .word_field import word_prime
 
 # radices with r^k + 1 prime that fit the default prime pair; no sparse
 # 2^a+/-2^b choice exists for k = 64 under the exact coefficient bound, so
@@ -176,7 +177,8 @@ def _verify_checks(k, r, seed, samples):
     yield "mul_fft_vs_bigint_vs_oracle", ok, detail, failing
 
     ok, detail = True, ""
-    for ctx in crt.ctxs:
+    for q in crt.primes:
+        ctx = word_prime(q)
         for _ in range(samples):
             x = [rng.randrange(ctx.q) for _ in range(k)]
             y = [rng.randrange(ctx.q) for _ in range(k)]

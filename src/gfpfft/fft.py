@@ -7,8 +7,9 @@ The transform follows the factorization
 applied iteratively: a right-to-left cascade of stride permutations, one
 pass of K-point base cases, then per level a twiddle stage, a permutation,
 another base-case pass, and a closing permutation.  Base cases for
-K in {8, 16, 32, 64} are generated once by unrolling the radix-2 splitting
-of DFT_K and are interpreted as a flat list of dft2 / twiddle / swap steps.
+K in {2, 4, ..., 64} are generated once by unrolling the radix-2 splitting
+of DFT_K and are interpreted as a flat list of dft2 / twiddle / swap steps;
+at e = 1 the transform is one base case.
 
 A field is any object providing add, sub, mul, pow, zero, one, inv_scalar,
 power_table and root_power_mul_factory; IntModField below implements them
@@ -30,7 +31,7 @@ exactly one caller-owned list.
 
 from .word_field import mont_convert_in, mont_inv, mont_mul, word_pow
 
-BASE_SIZES = (8, 16, 32, 64)
+BASE_SIZES = (2, 4, 8, 16, 32, 64)
 
 
 # ---------------------------------------------------------------------------
@@ -178,16 +179,6 @@ def _run_base(v, off, ops, field, mul_pow):
             v[off + i] = mul_pow(v[off + i], j)
         else:
             v[off + i], v[off + j] = v[off + j], v[off + i]
-
-
-def dft_base(v, omega_base, field, K=None, offset=0):
-    """In-place K-point DFT at omega_base, K in {8, 16, 32, 64}."""
-    if K is None:
-        K = len(v)
-    ops = base_case_ops(K)
-    mul_pow = field.root_power_mul_factory(omega_base, K)
-    _run_base(v, offset, ops, field, mul_pow)
-    return v
 
 
 # ---------------------------------------------------------------------------

@@ -13,10 +13,9 @@ GfpParams is immutable and shareable; all operations are pure and return
 fresh tuples.
 """
 
-import random
 from dataclasses import dataclass
 
-from .word_field import ROOT_SEARCH_DRAWS
+from .word_field import find_nth_root
 
 
 @dataclass(frozen=True)
@@ -122,7 +121,7 @@ def gfp_add(params, x, y):
 def gfp_sub(params, x, y):
     """x - y mod p.  A borrow out of the top digit is repaid with +1,
     since the digit loop computed x - y + r^k and r^k = -1 mod p.
-    Raises ValueError when a digit of y is too large for one borrow."""
+    Raises ValueError when a digit of x or y is too large for one borrow."""
     r, k = params.r, params.k
     z = []
     borrow = 0
@@ -135,6 +134,9 @@ def gfp_sub(params, x, y):
                 raise ValueError("non-canonical operand: digit above r")
         else:
             borrow = 0
+            # only (p-1) - 0 keeps r, in the top digit over zeros
+            if d >= r and (d > r or i < k - 1 or any(z)):
+                raise ValueError("non-canonical operand: digit above r")
         z.append(d)
     if borrow:
         for i in range(k):
@@ -150,8 +152,9 @@ def gfp_sub(params, x, y):
 def gfp_mul_pow_r(params, x, i):
     """x * r^i mod p for 0 <= i <= 2k, by digit rotation and one subtraction.
 
-    Using r^k = -1, the shifted digit sum splits at r^k into a low part B
-    and a wrapped part A, and the result is B - A.  Cost is linear in k.
+    Using r^k = -1, the digit sum of x * r^j, 0 < j < k, splits at r^k into
+    a low part B and a wrapped part A, so x * r^j = B - A and
+    x * r^(k+j) = A - B.  Cost is linear in k.
     """
     r, k = params.r, params.k
     if not 0 <= i <= 2 * k:
@@ -159,18 +162,18 @@ def gfp_mul_pow_r(params, x, i):
     i %= 2 * k
     if i == 0:
         return tuple(x)
-    if i >= k:
-        x = gfp_sub(params, gfp_zero(params), x)
-        i -= k
-        if i == 0:
-            return x
-    b = (0,) * i + x[: k - i]
-    a = list(x[k - i:]) + [0] * (k - i)
+    if i == k:
+        return gfp_sub(params, gfp_zero(params), x)
+    j = i - k if i > k else i
+    b = (0,) * j + x[: k - j]
+    a = list(x[k - j:]) + [0] * (k - j)
     if x[k - 1] == r:
-        # form B: the digit r would land in a[i-1]; carry it one slot up
-        a[i - 1] -= r
-        a[i] += 1
-    return gfp_sub(params, b, tuple(a))
+        # form B: the digit r would land in a[j-1]; carry it one slot up
+        a[j - 1] -= r
+        a[j] += 1
+    if i > k:
+        return gfp_sub(params, a, b)
+    return gfp_sub(params, b, a)
 
 
 def gfp_pow(params, x, e, mul):
@@ -219,34 +222,7 @@ def gfp_primitive_root(params, N, g):
 def gfp_find_nth_root(params, N, seed=0):
     """A primitive N-th root of unity, deterministic for a given seed.
 
-    Draws random candidates c, forms g = c^((p-1)/N), and accepts once
-    g^(N/2) = p - 1.  For prime p roughly half the candidates succeed;
-    ValueError after ROOT_SEARCH_DRAWS failures, as for a composite p.
+    The encoded word_field.find_nth_root(p, N, seed): N must be a power
+    of two dividing p - 1, and a composite p raises ValueError.
     """
-    if N < 1 or N & (N - 1):
-        raise ValueError("N must be a power of two")
-    p = params.p
-    if (p - 1) % N:
-        raise ValueError("N does not divide p - 1")
-    if N == 1:
-        return gfp_one(params)
-    rng = random.Random(seed)
-    e = (p - 1) // N
-    for _ in range(ROOT_SEARCH_DRAWS):
-        g = pow(rng.randrange(1, p), e, p)
-        if pow(g, N // 2, p) == p - 1:
-            return gfp_encode(params, g)
-    raise ValueError("no primitive %d-th root found mod r^%d + 1"
-                     % (N, params.k))
-
-
-def element_to_text(x):
-    """Hex digit words, little-endian, comma-separated."""
-    return ",".join(format(d, "x") for d in x)
-
-
-def element_from_text(params, text):
-    digits = tuple(int(part, 16) for part in text.split(","))
-    if not is_canonical(params, digits):
-        raise ValueError("text does not describe a canonical element")
-    return digits
+    return gfp_encode(params, find_nth_root(params.p, N, seed))

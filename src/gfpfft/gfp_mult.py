@@ -10,8 +10,11 @@ Two interchangeable pipelines compute x*y for canonical digit vectors:
   gfp_mul_bigint  evaluate at r, multiply as arbitrary-precision integers,
                   reduce mod p, re-encode.
 
-A constant that multiplies many elements, such as a twiddle factor, is
-best built once as FftOperand(params, crt, y), which keeps its transforms.
+Each convolution, the multiplier's and negacyclic_convolution's alike,
+runs through one cached ConvolutionPlan per (prime, k): theta-weighting,
+dft_general over IntModField, and the unweighting.  A constant that
+multiplies many elements, such as a twiddle factor, is best built once
+as FftOperand(params, crt, y), which keeps its transforms.
 
 The coefficients reach k*r^2, so the primes must satisfy
 k*r^2 <= (q_1*...*q_n - 1)/2 together with 2k | q_i - 1.
@@ -31,11 +34,10 @@ from itertools import combinations
 from math import gcd, prod
 from typing import NamedTuple
 
-from .fft import IntModField, build_plan, dft_general
+from .fft import BASE_SIZES, IntModField, build_plan, dft_general
 from .gfp_field import (digits_value, gfp_add, gfp_encode, gfp_mul_pow_r,
                         gfp_sub, is_canonical)
-from .word_field import (P1, P2, P3, mont_convert_out, word_prime,
-                         word_primitive_root)
+from .word_field import P1, P2, P3, find_nth_root, word_prime
 
 
 class ConfigurationError(ValueError):
@@ -88,7 +90,6 @@ class CrtParams:
     rebuilt from its residues as sum(a_i * idempotents[i]) mod modulus.
     """
 
-    ctxs: tuple
     primes: tuple
     modulus: int
     half_range: int
@@ -108,11 +109,12 @@ class CrtParams:
         for i, q in enumerate(primes):
             if any(gcd(q, other) != 1 for other in primes[i + 1:]):
                 raise ValueError("primes must be pairwise coprime")
-        ctxs = tuple(word_prime(q) for q in primes)
+        for q in primes:
+            word_prime(q)  # rejects composites
         modulus = prod(primes)
         idempotents = tuple(modulus // q * pow(modulus // q, -1, q)
                             for q in primes)
-        return cls(ctxs, primes, modulus, (modulus - 1) // 2, idempotents)
+        return cls(primes, modulus, (modulus - 1) // 2, idempotents)
 
 
 @lru_cache(maxsize=None)
@@ -172,60 +174,52 @@ def check_prime_compat(params, crt):
 # convolutions over a word prime
 
 def _transform_shape(n):
-    # n as K^e with K a base-case size, largest K first; None -> naive
-    for K in (64, 32, 16, 8):
+    # a power of two n >= 2 as K^e with K a base-case size, largest K first
+    for K in reversed(BASE_SIZES):
         t, e = n, 0
         while t % K == 0:
             t //= K
             e += 1
-        if t == 1 and e >= 1:
+        if t == 1:
             return K, e
-    return None
 
 
 class ConvolutionPlan:
-    """Weights and transforms of one length-n convolution mod the prime q.
+    """Weights and transforms of the length-k negacyclic convolution mod q.
 
-    Everything is a plain residue in [0, q).  in_table[i] weighs digit i
-    before the forward transform; out_table[i] undoes that weight and the
-    1/n scale after the unscaled inverse.  fwd and inv run the six-step
-    DFT over IntModField(q) when n is a power of a base-case size, else a
-    naive DFT.
+    Everything is a plain residue in [0, q).  theta is a primitive 2k-th
+    root of unity; in_table[i] = theta^i weighs digit i before the forward
+    transform, and out_table[i] = theta^-i / k undoes that weight and the
+    1/k scale after the unscaled inverse.  fwd and inv run the six-step
+    DFT at theta^2 over IntModField(q); the length-1 transform is the
+    identity.
     """
 
-    __slots__ = ("q", "in_table", "out_table", "_field", "_fft", "_pows")
+    __slots__ = ("q", "in_table", "out_table", "_field", "_fft")
 
-    def __init__(self, q, in_table, out_table, omega):
+    def __init__(self, q, k):
+        theta = find_nth_root(q, 2 * k)
+        theta_inv = pow(theta, -1, q)
+        k_inv = pow(k, -1, q)
         self.q = q
-        self.in_table = in_table
-        self.out_table = out_table
-        n = len(in_table)
+        self.in_table = [pow(theta, i, q) for i in range(k)]
+        self.out_table = [k_inv * pow(theta_inv, i, q) % q for i in range(k)]
         self._field = IntModField(q)
-        shape = _transform_shape(n)
-        self._fft = self._pows = None
-        if shape is not None:
-            self._fft = build_plan(self._field, *shape, omega)
-        elif n > 1:
-            omega_inv = pow(omega, -1, q)
-            self._pows = ([pow(omega, i, q) for i in range(n)],
-                          [pow(omega_inv, i, q) for i in range(n)])
+        self._fft = None
+        if k > 1:
+            self._fft = build_plan(self._field, *_transform_shape(k),
+                                   theta * theta % q)
 
     def fwd(self, v):
         if self._fft is not None:
             dft_general(v, self._fft, self._field)
-        elif self._pows is not None:
-            self._naive_dft(v, self._pows[0])
 
     def inv(self, v):
         if self._fft is not None:
             dft_general(v, self._fft.inverse(), self._field)
-        elif self._pows is not None:
-            self._naive_dft(v, self._pows[1])
 
-    def _naive_dft(self, v, pows):
-        n, q = len(v), self.q
-        v[:] = [sum(v[j] * pows[i * j % n] for j in range(n)) % q
-                for i in range(n)]
+
+_nega_plan = lru_cache(maxsize=None)(ConvolutionPlan)
 
 
 def _weigh(plan, x):
@@ -255,48 +249,6 @@ def _unweigh(plan, c):
     return tuple(u * t % q for u, t in zip(c, plan.out_table))
 
 
-_nega_plans = {}
-_cyclic_plans = {}
-
-
-def _nega_plan(ctx, k):
-    plan = _nega_plans.get((ctx.q, k))
-    if plan is not None:
-        return plan
-    if k < 1 or k & (k - 1):
-        raise ValueError("k must be a power of 2")
-    q = ctx.q
-    if (q - 1) % (2 * k):
-        raise ValueError("unsupported size: 2k does not divide q - 1")
-    theta = mont_convert_out(ctx, word_primitive_root(ctx, 2 * k))
-    theta_inv = pow(theta, -1, q)
-    k_inv = pow(k, -1, q)
-    in_table = [pow(theta, i, q) for i in range(k)]
-    out_table = [k_inv * pow(theta_inv, i, q) % q for i in range(k)]
-    plan = ConvolutionPlan(q, in_table, out_table, theta * theta % q)
-    _nega_plans[(q, k)] = plan
-    return plan
-
-
-def _cyclic_plan(ctx, n):
-    plan = _cyclic_plans.get((ctx.q, n))
-    if plan is not None:
-        return plan
-    if n < 1 or n & (n - 1):
-        raise ValueError("n must be a power of 2")
-    q = ctx.q
-    if (q - 1) % n:
-        raise ValueError("unsupported size: n does not divide q - 1")
-    omega = mont_convert_out(ctx, word_primitive_root(ctx, n))
-    plan = ConvolutionPlan(q, [1] * n, [pow(n, -1, q)] * n, omega)
-    _cyclic_plans[(q, n)] = plan
-    return plan
-
-
-def _convolve(plan, x, y):
-    return _unweigh(plan, _product(plan, _weigh(plan, x), _spectrum(plan, y)))
-
-
 def _check_reduced(v, n, q):
     if len(v) != n:
         raise ValueError("vector length mismatch")
@@ -311,18 +263,10 @@ def negacyclic_convolution(x, y, ctx, k):
     Inputs and output are plain residue vectors; the transforms run on
     the theta-weighted inputs, theta a primitive 2k-th root of unity.
     """
-    plan = _nega_plan(ctx, k)
+    plan = _nega_plan(ctx.q, k)
     _check_reduced(x, k, ctx.q)
     _check_reduced(y, k, ctx.q)
-    return _convolve(plan, x, y)
-
-
-def cyclic_convolution(f, g, ctx, n):
-    """Coefficients of f * g mod (x^n - 1) mod q."""
-    plan = _cyclic_plan(ctx, n)
-    _check_reduced(f, n, ctx.q)
-    _check_reduced(g, n, ctx.q)
-    return _convolve(plan, f, g)
+    return _unweigh(plan, _product(plan, _weigh(plan, x), _spectrum(plan, y)))
 
 
 # ---------------------------------------------------------------------------
@@ -369,8 +313,8 @@ class FftOperand(tuple):
         self = super().__new__(cls, y)
         crt = _resolve_crt(params, crt)
         self.primes = crt.primes
-        self.spectra = tuple(tuple(_spectrum(_nega_plan(ctx, params.k), y))
-                             for ctx in crt.ctxs)
+        self.spectra = tuple(tuple(_spectrum(_nega_plan(q, params.k), y))
+                             for q in crt.primes)
         return self
 
     def __reduce__(self):
@@ -392,7 +336,7 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
     """
     crt = _resolve_crt(params, crt)
     k, r = params.k, params.r
-    plans = [_nega_plan(ctx, k) for ctx in crt.ctxs]
+    plans = [_nega_plan(q, k) for q in crt.primes]
     timer = time.perf_counter if profile is not None else None
 
     def tick(phase, t0):

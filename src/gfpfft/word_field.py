@@ -3,10 +3,13 @@
 A WordPrime carries the constants of Montgomery reduction with R = 2^64,
 masking plain Python ints where a 64-bit machine would wrap.  The
 convolutions run on plain residues; Montgomery form is kept as a tested
-word layer and for the root search.  WordPrime instances are immutable
-and safe to share; all operations are pure functions.
+word layer.  find_nth_root is the one root search of the library: it
+works on plain ints for any modulus, and gfp_find_nth_root and
+word_primitive_root only encode its result.  WordPrime instances are
+immutable and safe to share; all operations are pure functions.
 """
 
+import random
 from dataclasses import dataclass
 
 MASK64 = (1 << 64) - 1
@@ -124,28 +127,30 @@ def mont_inv(ctx, a):
     return word_pow(ctx, a, ctx.q - 2)
 
 
-def word_primitive_root(ctx, n, seed=0):
-    """A primitive n-th root of unity mod q, in Montgomery form.
+def find_nth_root(m, n, seed=0):
+    """A primitive n-th root of unity mod m as a plain int, seeded.
 
-    n must be a power of two dividing q - 1.  Candidates are drawn from a
-    seeded RNG, raised to (q-1)/n, and accepted once the half-order check
-    g^{n/2} = q - 1 passes, so the result is deterministic per seed.
-    Raises ValueError when ROOT_SEARCH_DRAWS candidates all fail.
+    n must be a power of two dividing m - 1.  Candidates c are drawn from
+    a seeded RNG, raised to (m-1)/n, and accepted once g^(n/2) = m - 1,
+    so the result is deterministic per seed.  For a prime m about half
+    the draws succeed; ValueError after ROOT_SEARCH_DRAWS failures, as for
+    a composite m.
     """
-    import random
-
     if n < 1 or n & (n - 1):
         raise ValueError("n must be a power of two")
-    if (ctx.q - 1) % n:
-        raise ValueError("n does not divide q - 1")
+    if (m - 1) % n:
+        raise ValueError("n does not divide m - 1")
     if n == 1:
-        return ctx.one_mont
-    minus_one = mont_convert_in(ctx, ctx.q - 1)
+        return 1
     rng = random.Random(seed)
-    e = (ctx.q - 1) // n
+    e = (m - 1) // n
     for _ in range(ROOT_SEARCH_DRAWS):
-        c = rng.randrange(1, ctx.q)
-        g = word_pow(ctx, mont_convert_in(ctx, c), e)
-        if word_pow(ctx, g, n // 2) == minus_one:
+        g = pow(rng.randrange(1, m), e, m)
+        if pow(g, n // 2, m) == m - 1:
             return g
-    raise ValueError("no primitive %d-th root found mod %d" % (n, ctx.q))
+    raise ValueError("no primitive %d-th root found mod %d" % (n, m))
+
+
+def word_primitive_root(ctx, n, seed=0):
+    """find_nth_root(q, n, seed) in Montgomery form."""
+    return mont_convert_in(ctx, find_nth_root(ctx.q, n, seed))

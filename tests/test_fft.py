@@ -6,7 +6,7 @@ import pytest
 
 from gfpfft.fft import (
     BASE_SIZES, IntModField, MontField, base_case_ops, build_plan, dft2,
-    dft_base, dft_general, dft_inverse, stride_permutation, twiddle_apply,
+    dft_general, dft_inverse, stride_permutation, twiddle_apply,
 )
 from gfpfft.gfp_field import (
     GfpParams, gfp_decode, gfp_encode, gfp_find_nth_root, gfp_primitive_root,
@@ -150,34 +150,27 @@ def test_base_case_ops_shape(K):
 
 
 @pytest.mark.parametrize("K", BASE_SIZES)
-def test_dft_base_matches_naive(K):
+def test_base_case_matches_naive(K):
+    # at e = 1 the transform is one base case
     field = gf257()
     w = root_257(K)
+    plan = build_plan(field, K, 1, w)
     rng = random.Random(SEED ^ K)
     for _ in range(20):
         v = [rng.randrange(257) for _ in range(K)]
-        assert dft_base(list(v), w, field) == oracle_naive_dft(v, w, 257)
+        assert dft_general(list(v), plan, field) == oracle_naive_dft(v, w, 257)
 
 
-def test_dft_base_montgomery_field():
+def test_base_case_montgomery_field():
     ctx = word_prime(P1)
     field = MontField(ctx)
     w = word_primitive_root(ctx, 8)
     rng = random.Random(SEED)
     v = [rng.randrange(P1) for _ in range(8)]
     vm = [mont_convert_in(ctx, a) for a in v]
-    dft_base(vm, w, field)
+    dft_general(vm, build_plan(field, 8, 1, w), field)
     got = [mont_convert_out(ctx, a) for a in vm]
     assert got == oracle_naive_dft(v, mont_convert_out(ctx, w), P1)
-
-
-def test_dft_base_offset():
-    field = gf257()
-    w = root_257(8)
-    rng = random.Random(SEED)
-    v = [rng.randrange(257) for _ in range(24)]
-    want = v[:8] + oracle_naive_dft(v[8:16], w, 257) + v[16:]
-    assert dft_base(list(v), w, field, K=8, offset=8) == want
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +269,22 @@ def test_profile_accumulates_phases():
 
 # ---------------------------------------------------------------------------
 # GFP plan constraints and the cheap twiddle path
+
+@pytest.mark.parametrize("backend", ["fft", "bigint"])
+def test_gfp_dft_k2_matches_naive(backend):
+    # p = 4^2 + 1 = 17 needs base case K = 2k = 4
+    params = GfpParams(4, 2)
+    field = GfpFftField(params, backend=backend)
+    omega = gfp_root(params, 16)
+    plan = build_plan(field, 4, 2, omega)
+    w = gfp_decode(params, omega)
+    rng = random.Random(SEED)
+    for _ in range(5):
+        v = [rng.randrange(17) for _ in range(16)]
+        got = dft_general([gfp_encode(params, a) for a in v], plan, field)
+        assert [gfp_decode(params, x) for x in got] == oracle_naive_dft(v, w, 17)
+        assert dft_inverse(got, plan, field) == [gfp_encode(params, a) for a in v]
+
 
 def test_gfp_plan_base_root_is_radix():
     params = GfpParams(GFP_R, 8)

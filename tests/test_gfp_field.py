@@ -5,9 +5,9 @@ import random
 import pytest
 
 from gfpfft.gfp_field import (
-    GfpParams, element_from_text, element_to_text, gfp_add, gfp_decode,
-    gfp_encode, gfp_find_nth_root, gfp_mul_pow_r, gfp_one, gfp_pow,
-    gfp_primitive_root, gfp_sub, gfp_zero, is_canonical,
+    GfpParams, gfp_add, gfp_decode, gfp_encode, gfp_find_nth_root,
+    gfp_mul_pow_r, gfp_one, gfp_pow, gfp_primitive_root, gfp_sub, gfp_zero,
+    is_canonical,
 )
 
 SEED = 0x90FD
@@ -102,10 +102,18 @@ def test_add_sub_vs_integers(k, r):
 
 
 def test_sub_rejects_noncanonical_digit():
-    # a subtrahend digit of r + 5 leaves a negative digit after the borrow
+    # a subtrahend digit of r + 5 leaves a negative digit after the borrow;
+    # a minuend digit above r, or r anywhere but the top digit over zeros,
+    # survives without one
     params = GfpParams(10, 4)
     with pytest.raises(ValueError):
         gfp_sub(params, gfp_zero(params), (15, 0, 0, 0))
+    with pytest.raises(ValueError):
+        gfp_sub(params, (25, 0, 0, 0), gfp_zero(params))
+    with pytest.raises(ValueError):
+        gfp_sub(params, (5, 0, 0, 10), gfp_zero(params))
+    minus_one = gfp_encode(params, params.p - 1)
+    assert gfp_sub(params, minus_one, gfp_zero(params)) == minus_one
 
 
 def test_add_rejects_noncanonical_digit():
@@ -206,6 +214,7 @@ def test_find_nth_root_order_checks():
     assert gfp_pow(params, g, 16, mul_big) == gfp_one(params)
     assert gfp_pow(params, g, 8, mul_big) == gfp_encode(params, params.p - 1)
     assert g == gfp_find_nth_root(params, 16, seed=3)
+    assert g == (0, 0, 0, 0, 0, 1, 0, 0)  # r^5 for this seed
 
 
 def test_find_nth_root_composite_modulus():
@@ -213,15 +222,3 @@ def test_find_nth_root_composite_modulus():
     # so the bounded search raises instead of looping
     with pytest.raises(ValueError):
         gfp_find_nth_root(GfpParams(8, 2), 4)
-
-
-def test_element_text_roundtrip():
-    params = GfpParams((1 << 59) + (1 << 16), 8)
-    rng = random.Random(SEED)
-    for n in interesting_values(params, rng, 50):
-        x = gfp_encode(params, n)
-        assert element_from_text(params, element_to_text(x)) == x
-    with pytest.raises(ValueError):
-        element_from_text(params, "1,2,3")          # wrong digit count
-    with pytest.raises(ValueError):
-        element_from_text(params, ",".join(["zz"] * 8))
