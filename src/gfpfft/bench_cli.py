@@ -128,7 +128,7 @@ def _verify_checks(k, r, seed, samples):
     rng = random.Random(seed)
     params = GfpParams(r, k)
     # the prime set gfp_mul_fft convolves over for this field
-    crt = gfp_mult._resolve_crt(params, gfp_mult.crt_default())
+    crt = gfp_mult._resolve(params, gfp_mult.crt_default())[0]
     report = gfp_mult.check_prime_compat(params, crt)
     yield "prime_compat", report.passed, "primes=%d slack=%d" % (
         len(crt.primes), report.slack)
@@ -478,7 +478,8 @@ def build_parser():
                    help="comma-separated exponents")
     p.add_argument("--backend", choices=BACKENDS, default=None)
 
-    p = sub.add_parser("profile-mul", help="per-step multiplication profile")
+    p = sub.add_parser("profile-mul", help="per-step multiplication profile "
+                       "(the theta-weighting runs inside convolution)")
     common(p, k_list=True)
     return ap
 

@@ -8,8 +8,10 @@ applied iteratively: a right-to-left cascade of stride permutations, one
 pass of K-point base cases, then per level a twiddle stage, a permutation,
 another base-case pass, and a closing permutation.  Base cases for
 K in {2, 4, ..., 64} are generated once by unrolling the radix-2 splitting
-of DFT_K and are interpreted as a flat list of dft2 / twiddle / swap steps;
-at e = 1 the transform is one base case.
+of DFT_K into a flat list of dft2 / twiddle / swap steps, compiled as
+straight-line Python: per field over its add, sub and root-power multiply,
+and per word prime as lazily reduced negacyclic convolution kernels.  At
+e = 1 the transform is one base case.
 
 A field is any object providing add, sub, mul, pow, zero, one, inv_scalar,
 power_table and root_power_mul_factory; IntModField below implements them
@@ -28,6 +30,10 @@ them, to check that K = 2k and that omega^(N/2k) is r or 1/r.
 Plans are immutable after construction and shareable; dft_general mutates
 exactly one caller-owned list.
 """
+
+import time
+from functools import lru_cache
+from operator import mul
 
 from .word_field import mont_convert_in, mont_inv, mont_mul, word_pow
 
@@ -130,21 +136,16 @@ def _gen_layers(positions, unit):
     return layers, merged[0::2] + merged[1::2]
 
 
-_base_ops_cache = {}
-
-
+@lru_cache(maxsize=None)
 def base_case_ops(K):
     """The unrolled K-point DFT as a flat step list.
 
     Steps are ("dft2", i, j), ("tw", i, t) scaling slot i by the base
-    root to the t-th power, and a trailing ("swap", i, j) layer that puts
-    the output into natural order.
+    root to the t-th power, 0 < t < K, and a trailing ("swap", i, j) layer
+    that puts the output into natural order.
     """
     if K not in BASE_SIZES:
         raise ValueError("unsupported base-case size")
-    ops = _base_ops_cache.get(K)
-    if ops is not None:
-        return ops
     layers, order = _gen_layers(list(range(K)), 1)
     ops = [step for layer in layers for step in layer]
     seen = [False] * K
@@ -161,24 +162,69 @@ def base_case_ops(K):
         for other in cycle[1:]:
             ops.append(("swap", cycle[0], other))
             cycle[0] = other
-    ops = tuple(ops)
-    _base_ops_cache[K] = ops
-    return ops
+    return tuple(ops)
 
 
-def _run_base(v, off, ops, field, mul_pow):
-    add = field.add
-    sub = field.sub
-    for op in ops:
-        kind, i, j = op
+def _generate(name, args, K, unpack, prologue, dft2_line, tw_line, epilogue):
+    # The one code generator: base_case_ops(K) as straight-line source over
+    # a0..a(K-1), unpacked from the expression unpack, after the prologue
+    # lines; compiled once and kept as fn.source.  A swap only renames, so
+    # epilogue gets the output variables in natural order.
+    names = ["a%d" % i for i in range(K)]
+    body = ["%s, = %s" % (", ".join(names), unpack)] + prologue
+    for kind, i, j in base_case_ops(K) if K > 1 else ():
+        a, b = names[i], names[j]
         if kind == "dft2":
-            a, b = v[off + i], v[off + j]
-            v[off + i] = add(a, b)
-            v[off + j] = sub(a, b)
+            body.append(dft2_line.format(a=a, b=b))
         elif kind == "tw":
-            v[off + i] = mul_pow(v[off + i], j)
+            body.append(tw_line(a, j))
         else:
-            v[off + i], v[off + j] = v[off + j], v[off + i]
+            names[i], names[j] = b, a
+    body.append(epilogue(names))
+    source = "def %s(%s):\n    %s\n" % (name, args, "\n    ".join(body))
+    scope = {"mul": mul}
+    exec(compile(source, "<%s K=%d>" % (name, K), "exec"), scope)
+    scope[name].source = source
+    return scope[name]
+
+
+@lru_cache(maxsize=None)
+def _field_base(K):
+    # base(v, off, add, sub, mul_pow): DFT_K on v[off:off+K] by field ops
+    return _generate("base", "v, off, add, sub, mul_pow", K,
+                     "v[off:off + %d]" % K, [],
+                     "{a}, {b} = add({a}, {b}), sub({a}, {b})",
+                     lambda a, t: "%s = mul_pow(%s, %d)" % (a, a, t),
+                     lambda out: "v[off:off + %d] = %s" % (K, ", ".join(out)))
+
+
+def convolution_kernels(q, k, theta):
+    """Compiled (fwd, inv) of the length-k negacyclic convolution mod q.
+
+    theta is a primitive 2k-th root of unity mod q, and k is 1 or in
+    BASE_SIZES.  fwd(x) weighs digit i by theta^i and transforms at
+    theta^2; inv(a, b) multiplies two spectra pointwise, transforms at
+    theta^-2 and scales output i by theta^-i / k.  So inv(fwd(x), fwd(y))
+    is the convolution as a tuple of residues, for x of any non-negative
+    ints.  Python ints cannot overflow, so only twiddles and outputs reduce.
+    """
+    omega = theta * theta % q
+    scale = [pow(theta, -i, q) * pow(k, -1, q) % q for i in range(k)]
+    butterfly = "{a}, {b} = {a} + {b}, {a} - {b}"
+
+    def twiddle(root):
+        return lambda a, t: "%s = %s * %d %% %d" % (a, a, pow(root, t, q), q)
+
+    fwd = _generate("fwd", "x", k, "x",
+                    ["a%d *= %d" % (i, pow(theta, i, q)) for i in range(1, k)],
+                    butterfly, twiddle(omega),
+                    lambda out: "return (%s,)" % ", ".join(
+                        "%s %% %d" % (a, q) for a in out))
+    inv = _generate("inv", "x, y", k, "map(mul, x, y)", [],
+                    butterfly, twiddle(pow(omega, -1, q)),
+                    lambda out: "return (%s,)" % ", ".join(
+                        "%s * %d %% %d" % (a, c, q) for a, c in zip(out, scale)))
+    return fwd, inv
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +289,17 @@ def build_plan(field, K, e, omega):
 
 def _base_pass(v, plan, field, mul_base):
     K = plan.K
-    ops = base_case_ops(K)
+    base = _field_base(K)
+    add, sub = field.add, field.sub
     for j in range(0, plan.N, K):
-        _run_base(v, j, ops, field, mul_base)
+        base(v, j, add, sub, mul_base)
+
+
+def lap(profile, phase, t0):
+    """Add the seconds since t0 to profile[phase]; return the time now."""
+    now = time.perf_counter()
+    profile[phase] = profile.get(phase, 0.0) + (now - t0)
+    return now
 
 
 def dft_general(v, plan, field, profile=None):
@@ -257,57 +311,44 @@ def dft_general(v, plan, field, profile=None):
     K, e, N = plan.K, plan.e, plan.N
     if len(v) != N:
         raise ValueError("vector length must equal K^e")
-    timer = None
-    if profile is not None:
-        import time
-        timer = time.perf_counter
-
-    def tick(phase, t0):
-        profile[phase] = profile.get(phase, 0.0) + (timer() - t0)
-
-    t0 = timer() if timer else 0
+    t0 = time.perf_counter() if profile is not None else 0
     for i in range(e - 1):
         size = K ** (e - i)
         sub = size // K
         for j in range(0, N, size):
             stride_permutation(v, K, sub, offset=j)
-    if timer:
-        tick("permutation", t0)
+    if profile is not None:
+        t0 = lap(profile, "permutation", t0)
 
     mul_base = field.root_power_mul_factory(plan.omega_base, K)
-    t0 = timer() if timer else 0
     _base_pass(v, plan, field, mul_base)
-    if timer:
-        tick("basecase", t0)
+    if profile is not None:
+        t0 = lap(profile, "basecase", t0)
 
     for i in range(e - 2, -1, -1):
         size = K ** (e - i)
         m = K ** (e - i - 1)
         stride = K ** i
 
-        t0 = timer() if timer else 0
         for j in range(0, N, size):
             _twiddle_level_cheap(v, j, m, K, stride, plan.twiddle_table,
                                  mul_base, field.mul)
-        if timer:
-            tick("twiddle", t0)
+        if profile is not None:
+            t0 = lap(profile, "twiddle", t0)
 
-        t0 = timer() if timer else 0
         for j in range(0, N, size):
             stride_permutation(v, m, K, offset=j)
-        if timer:
-            tick("permutation", t0)
+        if profile is not None:
+            t0 = lap(profile, "permutation", t0)
 
-        t0 = timer() if timer else 0
         _base_pass(v, plan, field, mul_base)
-        if timer:
-            tick("basecase", t0)
+        if profile is not None:
+            t0 = lap(profile, "basecase", t0)
 
-        t0 = timer() if timer else 0
         for j in range(0, N, size):
             stride_permutation(v, K, m, offset=j)
-        if timer:
-            tick("permutation", t0)
+        if profile is not None:
+            t0 = lap(profile, "permutation", t0)
     return v
 
 

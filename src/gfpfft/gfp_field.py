@@ -51,15 +51,20 @@ def is_canonical(params, x):
     if len(x) != params.k:
         return False
     r = params.r
-    if all(0 <= d < r for d in x):
+    if min(x) >= 0 and max(x) < r:
         return True
-    return x[-1] == r and all(d == 0 for d in x[:-1])
+    return x[-1] == r and not any(x[:-1])
+
+
+def check_canonical(params, x):
+    """Raise ValueError unless x is a canonical element."""
+    if not is_canonical(params, x):
+        raise ValueError("non-canonical element")
 
 
 def gfp_decode(params, x):
     """The integer value sum(digits[i] * r^i); raises on non-canonical input."""
-    if not is_canonical(params, x):
-        raise ValueError("non-canonical element")
+    check_canonical(params, x)
     return digits_value(params, x)
 
 
@@ -90,18 +95,26 @@ def gfp_add(params, x, y):
     A carry surviving the top digit means the plain sum reached r^k; the
     fixup borrows one from the lowest non-zero digit (setting the digits
     below it to r-1), and the all-zero case is exactly r^k = p - 1.
-    Raises ValueError when a digit of x or y is too large for one carry.
+    Raises ValueError for a wrong length, a digit above r or r below the top.
     """
+    if not len(x) == len(y) == params.k:
+        raise ValueError("elements must have k digits")
+    return add_digits(params, x, y)
+
+
+def add_digits(params, x, y):
+    """gfp_add without the length check, for elements of k digits."""
     r, k = params.r, params.k
     z = []
     carry = 0
     for i in range(k):
-        s = x[i] + y[i] + carry
+        a, b = x[i], y[i]
+        s = a + b + carry
         if s >= r:
             s -= r
             carry = 1
-            # only (p-1) + (p-1), digits r + r, leaves r: in the top digit
-            if s >= r and (s > r or i < k - 1):
+            # a digit r is legal only on top, in p - 1; r + r leaves r there
+            if (a >= r or b >= r) and (a > r or b > r or i < k - 1 or s > r):
                 raise ValueError("non-canonical operand: digit above r")
         else:
             carry = 0
@@ -121,21 +134,29 @@ def gfp_add(params, x, y):
 def gfp_sub(params, x, y):
     """x - y mod p.  A borrow out of the top digit is repaid with +1,
     since the digit loop computed x - y + r^k and r^k = -1 mod p.
-    Raises ValueError when a digit of x or y is too large for one borrow."""
+    Raises ValueError for a wrong length, a digit above r or r below the top."""
+    if not len(x) == len(y) == params.k:
+        raise ValueError("elements must have k digits")
+    return sub_digits(params, x, y)
+
+
+def sub_digits(params, x, y):
+    """gfp_sub without the length check, for elements of k digits."""
     r, k = params.r, params.k
     z = []
     borrow = 0
     for i in range(k):
-        d = x[i] - y[i] - borrow
+        a, b = x[i], y[i]
+        d = a - b - borrow
         if d < 0:
             d += r
             borrow = 1
-            if d < 0:
+            if b >= r and (b > r or i < k - 1 or d < 0):
                 raise ValueError("non-canonical operand: digit above r")
         else:
             borrow = 0
-            # only (p-1) - 0 keeps r, in the top digit over zeros
-            if d >= r and (d > r or i < k - 1 or any(z)):
+            # a digit r is legal only on top, and (p-1) - 0 keeps it
+            if a >= r and (a > r or i < k - 1 or d >= r and (d > r or any(z))):
                 raise ValueError("non-canonical operand: digit above r")
         z.append(d)
     if borrow:
@@ -157,13 +178,16 @@ def gfp_mul_pow_r(params, x, i):
     x * r^(k+j) = A - B.  Cost is linear in k.
     """
     r, k = params.r, params.k
+    if len(x) != k:
+        raise ValueError("elements must have k digits")
     if not 0 <= i <= 2 * k:
         raise ValueError("shift exponent out of range")
     i %= 2 * k
     if i == 0:
+        check_canonical(params, x)
         return tuple(x)
     if i == k:
-        return gfp_sub(params, gfp_zero(params), x)
+        return sub_digits(params, gfp_zero(params), x)
     j = i - k if i > k else i
     b = (0,) * j + x[: k - j]
     a = list(x[k - j:]) + [0] * (k - j)
@@ -172,8 +196,8 @@ def gfp_mul_pow_r(params, x, i):
         a[j - 1] -= r
         a[j] += 1
     if i > k:
-        return gfp_sub(params, a, b)
-    return gfp_sub(params, b, a)
+        return sub_digits(params, a, b)
+    return sub_digits(params, b, a)
 
 
 def gfp_pow(params, x, e, mul):

@@ -11,8 +11,9 @@ Two interchangeable pipelines compute x*y for canonical digit vectors:
                   reduce mod p, re-encode.
 
 Each convolution, the multiplier's and negacyclic_convolution's alike,
-runs through one cached ConvolutionPlan per (prime, k): theta-weighting,
-dft_general over IntModField, and the unweighting.  A constant that
+runs through one cached ConvolutionPlan per (prime, k): for k <= 64 the
+compiled kernels of fft.convolution_kernels, weighting and unweighting
+included; above 64, dft_general over IntModField.  A constant that
 multiplies many elements, such as a twiddle factor, is best built once
 as FftOperand(params, crt, y), which keeps its transforms.
 
@@ -29,14 +30,16 @@ is a pure function of its arguments.
 
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd, prod
+from operator import mul
 from typing import NamedTuple
 
-from .fft import BASE_SIZES, IntModField, build_plan, dft_general
-from .gfp_field import (digits_value, gfp_add, gfp_encode, gfp_mul_pow_r,
-                        gfp_sub, is_canonical)
+from .fft import (BASE_SIZES, IntModField, build_plan, convolution_kernels,
+                  dft_general, lap)
+from .gfp_field import (add_digits, check_canonical, digits_value, gfp_add,
+                        gfp_encode, gfp_mul_pow_r, gfp_sub, sub_digits)
 from .word_field import P1, P2, P3, find_nth_root, word_prime
 
 
@@ -122,6 +125,13 @@ def crt_default():
     return CrtParams.make()
 
 
+def _crt_signed(crt, columns):
+    # the signed value in [-half_range, half_range] of each residue tuple
+    m, half, idempotents = crt.modulus, crt.half_range, crt.idempotents
+    return [v - m if (v := sum(map(mul, res, idempotents)) % m) > half else v
+            for res in columns]
+
+
 def crt_combine(*args):
     """The signed v in [-half_range, half_range] with v = a_i mod q_i.
 
@@ -131,15 +141,11 @@ def crt_combine(*args):
     *residues, params = args
     if len(residues) != len(params.primes):
         raise ValueError("expected one residue per prime")
-    v = 0
-    for a, q, e in zip(residues, params.primes, params.idempotents):
+    for a, q in zip(residues, params.primes):
         if not 0 <= a < q:
             raise ValueError("residues must be reduced")
-        v += a * e
-    v %= params.modulus
-    if v > params.half_range:
-        return SignedCoefficient(params.modulus - v, True)
-    return SignedCoefficient(v, False)
+    v, = _crt_signed(params, [residues])
+    return SignedCoefficient(-v, True) if v < 0 else SignedCoefficient(v, False)
 
 
 class CompatReport(NamedTuple):
@@ -173,88 +179,43 @@ def check_prime_compat(params, crt):
 # ---------------------------------------------------------------------------
 # convolutions over a word prime
 
-def _transform_shape(n):
-    # a power of two n >= 2 as K^e with K a base-case size, largest K first
-    for K in reversed(BASE_SIZES):
-        t, e = n, 0
-        while t % K == 0:
-            t //= K
-            e += 1
-        if t == 1:
-            return K, e
-
-
 class ConvolutionPlan:
-    """Weights and transforms of the length-k negacyclic convolution mod q.
+    """The length-k negacyclic convolution mod q: inv(fwd(x), fwd(y)).
 
-    Everything is a plain residue in [0, q).  theta is a primitive 2k-th
-    root of unity; in_table[i] = theta^i weighs digit i before the forward
-    transform, and out_table[i] = theta^-i / k undoes that weight and the
-    1/k scale after the unscaled inverse.  fwd and inv run the six-step
-    DFT at theta^2 over IntModField(q); the length-1 transform is the
-    identity.
+    fwd(x) is the spectrum of the theta-weighted x, theta a primitive
+    2k-th root of unity; for k = 1 and the base-case sizes fwd and inv are
+    fft.convolution_kernels, and longer convolutions weigh, run
+    dft_general over IntModField(q) and unweigh.
     """
 
-    __slots__ = ("q", "in_table", "out_table", "_field", "_fft")
+    __slots__ = ("fwd", "inv")
 
     def __init__(self, q, k):
         theta = find_nth_root(q, 2 * k)
-        theta_inv = pow(theta, -1, q)
-        k_inv = pow(k, -1, q)
-        self.q = q
-        self.in_table = [pow(theta, i, q) for i in range(k)]
-        self.out_table = [k_inv * pow(theta_inv, i, q) % q for i in range(k)]
-        self._field = IntModField(q)
-        self._fft = None
-        if k > 1:
-            self._fft = build_plan(self._field, *_transform_shape(k),
-                                   theta * theta % q)
+        if k == 1 or k in BASE_SIZES:
+            self.fwd, self.inv = convolution_kernels(q, k, theta)
+            return
+        # k = K^e with K the largest base-case size that allows it
+        e = k.bit_length() - 1
+        K = max(K for K in BASE_SIZES if e % (K.bit_length() - 1) == 0)
+        field = IntModField(q)
+        plan = build_plan(field, K, e // (K.bit_length() - 1), theta * theta % q)
+        weights = [pow(theta, i, q) for i in range(k)]
+        scale = [pow(theta, -i, q) * pow(k, -1, q) % q for i in range(k)]
 
-    def fwd(self, v):
-        if self._fft is not None:
-            dft_general(v, self._fft, self._field)
+        def fwd(x):
+            v = [d * t % q for d, t in zip(x, weights)]
+            return tuple(dft_general(v, plan, field))
 
-    def inv(self, v):
-        if self._fft is not None:
-            dft_general(v, self._fft.inverse(), self._field)
+        def inv(a, b):
+            v = [u * w % q for u, w in zip(a, b)]
+            dft_general(v, plan.inverse(), field)
+            return tuple(u * t % q for u, t in zip(v, scale))
+
+        self.fwd, self.inv = fwd, inv
 
 
 _nega_plan = lru_cache(maxsize=None)(ConvolutionPlan)
-
-
-def _weigh(plan, x):
-    q = plan.q
-    return [d * t % q for d, t in zip(x, plan.in_table)]
-
-
-def _spectrum(plan, y):
-    # forward transform of the weighted digits of y
-    b = _weigh(plan, y)
-    plan.fwd(b)
-    return b
-
-
-def _product(plan, a, b):
-    # forward transform of the weighted vector a times the spectrum b,
-    # inverse transformed but not yet scaled or unweighted
-    plan.fwd(a)
-    q = plan.q
-    c = [u * w % q for u, w in zip(a, b)]
-    plan.inv(c)
-    return c
-
-
-def _unweigh(plan, c):
-    q = plan.q
-    return tuple(u * t % q for u, t in zip(c, plan.out_table))
-
-
-def _check_reduced(v, n, q):
-    if len(v) != n:
-        raise ValueError("vector length mismatch")
-    for d in v:
-        if not 0 <= d < q:
-            raise ValueError("inputs must be reduced mod q")
 
 
 def negacyclic_convolution(x, y, ctx, k):
@@ -264,9 +225,10 @@ def negacyclic_convolution(x, y, ctx, k):
     the theta-weighted inputs, theta a primitive 2k-th root of unity.
     """
     plan = _nega_plan(ctx.q, k)
-    _check_reduced(x, k, ctx.q)
-    _check_reduced(y, k, ctx.q)
-    return _unweigh(plan, _product(plan, _weigh(plan, x), _spectrum(plan, y)))
+    for v in (x, y):
+        if len(v) != k or not all(0 <= d < ctx.q for d in v):
+            raise ValueError("inputs must be k residues reduced mod q")
+    return plan.inv(plan.fwd(x), plan.fwd(y))
 
 
 # ---------------------------------------------------------------------------
@@ -276,11 +238,14 @@ _LIBRARY_PRIMES = (P1, P2, P3)
 _resolved = {}
 
 
-def _resolve_crt(params, crt):
+def _resolve(params, crt):
+    # (the prime set the multiplier runs over for crt, its plans)
     key = (params.r, params.k, crt.primes)
     found = _resolved.get(key)
     if found is None:
-        found = _resolved[key] = _extend_crt(params, crt)
+        wider = _extend_crt(params, crt)
+        found = _resolved[key] = (
+            wider, [_nega_plan(q, params.k) for q in wider.primes])
     return found
 
 
@@ -308,13 +273,11 @@ class FftOperand(tuple):
     over those primes: 4 NTTs per product instead of 6 over two primes."""
 
     def __new__(cls, params, crt, y):
-        if not is_canonical(params, y):
-            raise ValueError("non-canonical element")
+        check_canonical(params, y)
         self = super().__new__(cls, y)
-        crt = _resolve_crt(params, crt)
+        crt, plans = _resolve(params, crt)
         self.primes = crt.primes
-        self.spectra = tuple(tuple(_spectrum(_nega_plan(q, params.k), y))
-                             for q in crt.primes)
+        self.spectra = tuple(plan.fwd(y) for plan in plans)
         return self
 
     def __reduce__(self):
@@ -327,62 +290,51 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
     The convolutions run over crt's primes when check_prime_compat passes
     for them, otherwise over crt plus the fewest library primes that make
     it pass; ConfigurationError means no such extension exists.  A y built
-    as FftOperand over that prime set brings its spectra along.
+    as FftOperand over that prime set brings its spectra along.  Raises
+    ValueError unless x and y are canonical elements.
 
     profile, when given, accumulates seconds per pipeline step under the
-    keys convert_in (theta-weighting x), convolution (the transforms and
-    the pointwise product), convert_out (unweighting and the 1/k scale),
-    crt, lhc (splitting and placing the coefficients), final (carries).
+    keys convolution (the compiled kernels: theta-weighting, transforms,
+    pointwise product, unweighting and 1/k), crt, lhc (splitting and
+    placing the coefficients), final (carries), and convert_in and
+    convert_out, which read 0.0: the weighting runs inside convolution.
     """
-    crt = _resolve_crt(params, crt)
+    check_canonical(params, x)
+    if not isinstance(y, FftOperand):
+        check_canonical(params, y)
+    return _mul_fft(params, crt, x, y, profile)
+
+
+def _mul_fft(params, crt, x, y, profile=None):
+    crt, plans = _resolve(params, crt)
     k, r = params.k, params.r
-    plans = [_nega_plan(q, k) for q in crt.primes]
-    timer = time.perf_counter if profile is not None else None
+    if profile is not None:
+        for phase in ("convert_in", "convert_out"):
+            profile.setdefault(phase, 0.0)
+        t0 = time.perf_counter()
+    if isinstance(y, FftOperand) and y.primes == crt.primes:
+        zs = [plan.inv(plan.fwd(x), b) for plan, b in zip(plans, y.spectra)]
+    else:
+        zs = [plan.inv(plan.fwd(x), plan.fwd(y)) for plan in plans]
+    if profile is not None:
+        t0 = lap(profile, "convolution", t0)
 
-    def tick(phase, t0):
-        profile[phase] = profile.get(phase, 0.0) + (timer() - t0)
+    coeffs = _crt_signed(crt, zip(*zs))
+    if profile is not None:
+        t0 = lap(profile, "crt", t0)
 
-    t0 = timer() if timer else 0
-    xs = [_weigh(plan, x) for plan in plans]
-    if timer:
-        tick("convert_in", t0)
-
-    t0 = timer() if timer else 0
-    ys = (y.spectra if isinstance(y, FftOperand) and y.primes == crt.primes
-          else [_spectrum(plan, y) for plan in plans])
-    zs = [_product(plan, a, b) for plan, a, b in zip(plans, xs, ys)]
-    if timer:
-        tick("convolution", t0)
-
-    t0 = timer() if timer else 0
-    zs = [_unweigh(plan, z) for plan, z in zip(plans, zs)]
-    if timer:
-        tick("convert_out", t0)
-
-    t0 = timer() if timer else 0
-    coeffs = [crt_combine(*res, crt) for res in zip(*zs)]
-    if timer:
-        tick("crt", t0)
-
-    t0 = timer() if timer else 0
-    # coefficient i is l + h*r + c*r^2 at r^i: its signed parts go to digit
-    # positions i, i+1, i+2, of which k and k+1 are folded back below
-    bound = k * r * r
+    # coefficient i is l + h*r + c*r^2 at r^i, c signed: its parts go to
+    # digit positions i, i+1, i+2, of which k and k+1 are folded back below
     acc = [0] * (k + 2)
     for i, s in enumerate(coeffs):
-        mag = s.magnitude
-        if mag > bound:
-            raise ValueError("coefficient exceeds k*r^2: inputs are not "
-                             "canonical field elements")
-        l, h, c = lhc_decompose(mag, r)
-        sign = -1 if s.negative else 1
-        acc[i] += sign * l
-        acc[i + 1] += sign * h
-        acc[i + 2] += sign * c
-    if timer:
-        tick("lhc", t0)
+        hc, l = divmod(s, r)
+        c, h = divmod(hc, r)
+        acc[i] += l
+        acc[i + 1] += h
+        acc[i + 2] = c
+    if profile is not None:
+        t0 = lap(profile, "lhc", t0)
 
-    t0 = timer() if timer else 0
     # r^k = -1: each wrap past k negates (for k = 1, c wraps twice)
     for j in (k, k + 1):
         wraps, low = divmod(j, k)
@@ -396,13 +348,19 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
         u = gfp_sub(params, u, gfp_encode(params, carry))
     elif carry < 0:
         u = gfp_add(params, u, gfp_encode(params, -carry))
-    if timer:
-        tick("final", t0)
+    if profile is not None:
+        lap(profile, "final", t0)
     return u
 
 
 def gfp_mul_bigint(params, x, y):
-    """Reference product: evaluate at r, multiply as integers, re-encode."""
+    """Reference product, inputs checked: evaluate at r, multiply, re-encode."""
+    check_canonical(params, x)
+    check_canonical(params, y)
+    return _mul_bigint(params, x, y)
+
+
+def _mul_bigint(params, x, y):
     xv, yv = digits_value(params, x), digits_value(params, y)
     return gfp_encode(params, xv * yv)
 
@@ -424,26 +382,20 @@ class GfpFftField(IntModField):
         if backend not in ("fft", "bigint"):
             raise ValueError("unknown backend")
         if backend == "fft":
-            crt = _resolve_crt(params, crt if crt is not None else crt_default())
+            crt = _resolve(params, crt if crt is not None else crt_default())[0]
         super().__init__(params.p)
         self.params = params
         self.crt = crt
         self.backend = backend
+        # unchecked cores: the field's own elements are canonical
+        self.add = partial(add_digits, params)
+        self.sub = partial(sub_digits, params)
+        self.mul = (partial(_mul_fft, params, crt) if backend == "fft"
+                    else partial(_mul_bigint, params))
         self.two_k = 2 * params.k
         self.shift_root = gfp_encode(params, params.r)
         # r^(2k-1) = 1/r, the root inverse transforms align with
         self.shift_root_inv = self.shift(self.one(), self.two_k - 1)
-
-    def add(self, a, b):
-        return gfp_add(self.params, a, b)
-
-    def sub(self, a, b):
-        return gfp_sub(self.params, a, b)
-
-    def mul(self, a, b):
-        if self.backend == "fft":
-            return gfp_mul_fft(self.params, self.crt, a, b)
-        return gfp_mul_bigint(self.params, a, b)
 
     def pow(self, a, e):
         params = self.params

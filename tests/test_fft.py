@@ -1,9 +1,11 @@
 """Six-step transform machinery against the quadratic-time oracle."""
 
+import ast
 import random
 
 import pytest
 
+from gfpfft import fft
 from gfpfft.fft import (
     BASE_SIZES, IntModField, MontField, base_case_ops, build_plan, dft2,
     dft_general, dft_inverse, stride_permutation, twiddle_apply,
@@ -171,6 +173,48 @@ def test_base_case_montgomery_field():
     dft_general(vm, build_plan(field, 8, 1, w), field)
     got = [mont_convert_out(ctx, a) for a in vm]
     assert got == oracle_naive_dft(v, mont_convert_out(ctx, w), P1)
+
+
+@pytest.mark.parametrize("K", BASE_SIZES)
+def test_field_base_case_is_straight_line(K):
+    tree = ast.parse(fft._field_base(K).source)
+    assert not [n for n in ast.walk(tree) if isinstance(n, (ast.For, ast.While))]
+
+
+@pytest.mark.parametrize("K", BASE_SIZES)
+def test_field_base_case_montgomery_every_size(K):
+    # the compiled base case calls the field's own add, sub and mul
+    ctx = word_prime(P1)
+    field = MontField(ctx)
+    w = word_primitive_root(ctx, K)
+    rng = random.Random(SEED ^ K)
+    for _ in range(5):
+        v = [rng.randrange(P1) for _ in range(K)]
+        vm = [mont_convert_in(ctx, a) for a in v]
+        dft_general(vm, build_plan(field, K, 1, w), field)
+        got = [mont_convert_out(ctx, a) for a in vm]
+        assert got == oracle_naive_dft(v, mont_convert_out(ctx, w), P1)
+
+
+@pytest.mark.parametrize("backend", ["fft", "bigint"])
+@pytest.mark.parametrize("k,r", [(8, GFP_R), (2, 4)])
+def test_field_base_case_gfp_matches_naive(backend, k, r):
+    # e = 1 at K = 2k: every twiddle of the base case is a digit rotation,
+    # by r forwards and by 1/r in the inverse
+    params = GfpParams(r, k)
+    field = GfpFftField(params, backend=backend)
+    K = 2 * k
+    omega = gfp_root(params, K)
+    plan = build_plan(field, K, 1, omega)
+    w = gfp_decode(params, omega)
+    rng = random.Random(SEED ^ k)
+    for _ in range(5):
+        v = [rng.randrange(params.p) for _ in range(K)]
+        x = [gfp_encode(params, a) for a in v]
+        out = dft_general(list(x), plan, field)
+        assert [gfp_decode(params, a) for a in out] == \
+            oracle_naive_dft(v, w, params.p)
+        assert dft_inverse(out, plan, field) == x
 
 
 # ---------------------------------------------------------------------------

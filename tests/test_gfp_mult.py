@@ -1,15 +1,18 @@
 """Multiplication pipeline pieces: LHC, CRT, convolutions, muls."""
 
+import ast
 import pickle
 import random
 
 import pytest
 
+from gfpfft.fft import BASE_SIZES
 from gfpfft.gfp_field import (
-    GfpParams, gfp_decode, gfp_encode, gfp_mul_pow_r, gfp_one,
+    GfpParams, gfp_add, gfp_decode, gfp_encode, gfp_mul_pow_r, gfp_one,
+    gfp_sub,
 )
 from gfpfft.gfp_mult import (
-    ConfigurationError, CrtParams, FftOperand, GfpFftField,
+    ConfigurationError, CrtParams, FftOperand, GfpFftField, _nega_plan,
     check_prime_compat, crt_combine, crt_default,
     gfp_mul_bigint, gfp_mul_fft, lhc_decompose, negacyclic_convolution,
 )
@@ -179,6 +182,34 @@ def test_negacyclic_matches_oracle(q, k):
         y = [rng.randrange(q) for _ in range(k)]
         got = negacyclic_convolution(x, y, ctx, k)
         assert list(got) == oracle_negacyclic(x, y, ctx)
+
+
+@pytest.mark.parametrize("q", [P1, P2, P3])
+@pytest.mark.parametrize("k", (1,) + BASE_SIZES)
+def test_compiled_kernels_match_oracle(q, k):
+    # all-(q-1) vectors give the largest unreduced intermediates
+    ctx = word_prime(q)
+    plan = _nega_plan(q, k)
+    rng = random.Random(SEED ^ (q % 4099) ^ k)
+    top = [q - 1] * k
+    cases = [(top, top), (top, [1] + [0] * (k - 1))]
+    cases += [([rng.randrange(q) for _ in range(k)],
+               [rng.randrange(q) for _ in range(k)]) for _ in range(10)]
+    for x, y in cases:
+        got = plan.inv(plan.fwd(x), plan.fwd(y))
+        assert list(got) == oracle_negacyclic(x, y, ctx)
+    # field digits reach 2^64 - 1 > q; fwd reduces them itself
+    wide = [(1 << 64) - 1 - i for i in range(k)]
+    assert plan.fwd(wide) == plan.fwd([d % q for d in wide])
+
+
+@pytest.mark.parametrize("k", (1,) + BASE_SIZES)
+def test_compiled_kernels_are_straight_line(k):
+    plan = _nega_plan(P1, k)
+    for fn in (plan.fwd, plan.inv):
+        tree = ast.parse(fn.source)
+        assert not [n for n in ast.walk(tree)
+                    if isinstance(n, (ast.For, ast.While))]
 
 
 def test_convolution_rejects():
@@ -397,6 +428,43 @@ def test_mul_single_digit_field_form_b():
     params = GfpParams((1 << 59) + (1 << 16), 1)
     minus_one = gfp_encode(params, params.p - 1)
     assert gfp_mul_fft(params, crt_default(), minus_one, minus_one) == gfp_one(params)
+
+
+def test_public_ops_reject_bad_elements():
+    # a digit of r + 5, a long and a short element, on either side
+    params = GfpParams(10, 4)
+    r, k, crt = params.r, params.k, crt_default()
+    good = gfp_encode(params, 1234)
+    bad = [(r + 5, 0, 0, 0), (0, 0, 0, r + 5), (1, 0, 0, 0, 7), (1, 2)]
+    ops = [
+        lambda a, b: gfp_mul_fft(params, crt, a, b),
+        lambda a, b: gfp_mul_bigint(params, a, b),
+        lambda a, b: gfp_add(params, a, b),
+        lambda a, b: gfp_sub(params, a, b),
+    ]
+    for x in bad:
+        for op in ops:
+            with pytest.raises(ValueError):
+                op(x, good)
+            with pytest.raises(ValueError):
+                op(good, x)
+        for i in range(2 * k + 1):
+            with pytest.raises(ValueError):
+                gfp_mul_pow_r(params, x, i)
+    with pytest.raises(ValueError):
+        gfp_mul_fft(params, crt, bad[0], FftOperand(params, crt, good))
+    for op in ops:  # a digit of r is canonical only on top, in p - 1
+        with pytest.raises(ValueError):
+            op((r, 0, 0, 0), good)
+        with pytest.raises(ValueError):
+            op(good, (0, r, 0, 0))
+    minus_one = gfp_encode(params, params.p - 1)
+    one = gfp_one(params)
+    assert gfp_mul_fft(params, crt, minus_one, minus_one) == one
+    assert gfp_mul_bigint(params, minus_one, minus_one) == one
+    assert gfp_add(params, minus_one, minus_one) == gfp_encode(params, params.p - 2)
+    assert gfp_sub(params, minus_one, gfp_encode(params, 0)) == minus_one
+    assert gfp_mul_pow_r(params, minus_one, 0) == minus_one
 
 
 def test_mul_rejects_noncanonical_coefficients():

@@ -99,3 +99,22 @@ def test_every_twiddle_stage_runs_the_level_function(kind, monkeypatch):
     for i in range(e - 2, -1, -1):
         want += [(K ** (e - i - 1), K)] * (K ** i)
     assert shapes == want
+
+
+def test_word_prime_convolutions_skip_the_general_transform(monkeypatch):
+    # the NTTs inside a multiply run as compiled kernels, so the tracer's
+    # fft.basecase and fft.dft spans see only the outer transform
+    def forbidden(*args, **kwargs):
+        raise AssertionError("general transform called")
+
+    monkeypatch.setattr(fft, "_base_pass", forbidden)
+    monkeypatch.setattr(fft, "dft_general", forbidden)
+    monkeypatch.setattr(gfp_mult, "dft_general", forbidden)
+    params = GfpParams((1 << 59) + (1 << 16), 8)
+    crt = gfp_mult.crt_default()
+    a, b = 3 ** 200 % params.p, 5 ** 300 % params.p
+    x, y = gfp_encode(params, a), gfp_encode(params, b)
+    want = gfp_encode(params, a * b)
+    assert gfp_mult.gfp_mul_fft(params, crt, x, y) == want
+    assert gfp_mult.gfp_mul_fft(params, crt, x,
+                                gfp_mult.FftOperand(params, crt, y)) == want
