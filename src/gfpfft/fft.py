@@ -13,12 +13,14 @@ straight-line Python: per field over its add, sub and root-power multiply,
 and per word prime as lazily reduced negacyclic convolution kernels.  At
 e = 1 the transform is one base case.
 
-A field is any object providing add, sub, mul, pow, zero, one, inv_scalar,
-power_table and root_power_mul_factory; IntModField below implements them
-for plain residues mod a prime, and MontField and GfpFftField inherit the
-last two.  power_table(omega, count) is the field's cached list of omega^t,
-t < count; plans take their twiddle table from it, so a field may store its
-entries in whatever form its mul handles fastest.
+A field is any object providing is_element, add, sub, mul, pow, zero, one,
+inv_scalar, power_table and root_power_mul_factory; IntModField below
+implements them for plain residues mod a prime, and MontField and
+GfpFftField inherit the last two.  dft_general and build_plan check their
+inputs once with is_element; the arithmetic underneath checks nothing.
+power_table(omega, count) is the field's cached list of omega^t, t < count;
+plans take their twiddle table from it, so a field may store its entries in
+whatever form its mul handles fastest.
 root_power_mul_factory(omega, count) returns the closure x, t -> x*omega^t
 that the base cases and every twiddle stage use for powers of the base
 root.  It multiplies by the power table unless the field knows a cheaper
@@ -109,11 +111,6 @@ def _twiddle_level_cheap(v, off, m, n, stride, table, mul_base, mul):
 
 # ---------------------------------------------------------------------------
 # base cases
-
-def dft2(a, b, field):
-    """(a, b) -> (a + b, a - b)."""
-    return field.add(a, b), field.sub(a, b)
-
 
 def _gen_layers(positions, unit):
     # Unrolls DFT_s = L_2 (I x DFT_2) L D_{2,s/2} (I_2 x DFT_{s/2}) L_2 into
@@ -261,7 +258,7 @@ class FftPlan:
 def build_plan(field, K, e, omega):
     """Validate omega and precompute the twiddle table.
 
-    The primitivity check omega^N = 1, omega^(N/2) = -1 runs here.  For
+    omega must be a field element with omega^N = 1, omega^(N/2) = -1.  For
     fields with a shift root the base-case constraint K = 2k is enforced and
     omega^(N/2k) must equal the shift root r, or its inverse for plans
     running the transform backwards, so that the base root is one the
@@ -271,6 +268,8 @@ def build_plan(field, K, e, omega):
         raise ValueError("unsupported base-case size")
     if e < 1:
         raise ValueError("e must be at least 1")
+    if not field.is_element(omega):
+        raise ValueError("omega is not an element of the field")
     N = K ** e
     one = field.one()
     minus_one = field.sub(field.zero(), one)
@@ -305,12 +304,12 @@ def lap(profile, phase, t0):
 def dft_general(v, plan, field, profile=None):
     """In-place DFT of K^e points following the six-step schedule.
 
-    profile, when given, is a mapping that accumulates wall time per phase
-    under the keys "permutation", "basecase", "twiddle".
+    Raises ValueError unless v holds K^e field elements.  profile, when
+    given, accumulates wall time per phase: permutation, basecase, twiddle.
     """
     K, e, N = plan.K, plan.e, plan.N
-    if len(v) != N:
-        raise ValueError("vector length must equal K^e")
+    if len(v) != N or not all(map(field.is_element, v)):
+        raise ValueError("v must hold K^e field elements")
     t0 = time.perf_counter() if profile is not None else 0
     for i in range(e - 1):
         size = K ** (e - i)
@@ -375,6 +374,9 @@ class IntModField:
     def __init__(self, p):
         self.p = p
         self._tables = {}
+
+    def is_element(self, a):
+        return 0 <= a < self.p
 
     def add(self, a, b):
         c = a + b

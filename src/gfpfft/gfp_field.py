@@ -9,6 +9,10 @@ the coefficient of r^i.  Two canonical shapes exist:
 Addition, subtraction, and multiplication by powers of r run in O(k) digit
 operations with conditional-subtract carries.  No operation divides.
 
+is_canonical defines a valid element.  Every public operation checks each
+operand with it once and raises ValueError; the digit loops underneath,
+add_digits, sub_digits and rotate_digits, trust their input.
+
 GfpParams is immutable and shareable; all operations are pure and return
 fresh tuples.
 """
@@ -95,27 +99,23 @@ def gfp_add(params, x, y):
     A carry surviving the top digit means the plain sum reached r^k; the
     fixup borrows one from the lowest non-zero digit (setting the digits
     below it to r-1), and the all-zero case is exactly r^k = p - 1.
-    Raises ValueError for a wrong length, a digit above r or r below the top.
+    Raises ValueError unless x and y are canonical.
     """
-    if not len(x) == len(y) == params.k:
-        raise ValueError("elements must have k digits")
+    check_canonical(params, x)
+    check_canonical(params, y)
     return add_digits(params, x, y)
 
 
 def add_digits(params, x, y):
-    """gfp_add without the length check, for elements of k digits."""
+    """gfp_add without the checks, for canonical elements."""
     r, k = params.r, params.k
     z = []
     carry = 0
     for i in range(k):
-        a, b = x[i], y[i]
-        s = a + b + carry
+        s = x[i] + y[i] + carry
         if s >= r:
             s -= r
             carry = 1
-            # a digit r is legal only on top, in p - 1; r + r leaves r there
-            if (a >= r or b >= r) and (a > r or b > r or i < k - 1 or s > r):
-                raise ValueError("non-canonical operand: digit above r")
         else:
             carry = 0
         z.append(s)
@@ -134,30 +134,24 @@ def add_digits(params, x, y):
 def gfp_sub(params, x, y):
     """x - y mod p.  A borrow out of the top digit is repaid with +1,
     since the digit loop computed x - y + r^k and r^k = -1 mod p.
-    Raises ValueError for a wrong length, a digit above r or r below the top."""
-    if not len(x) == len(y) == params.k:
-        raise ValueError("elements must have k digits")
+    Raises ValueError unless x and y are canonical."""
+    check_canonical(params, x)
+    check_canonical(params, y)
     return sub_digits(params, x, y)
 
 
 def sub_digits(params, x, y):
-    """gfp_sub without the length check, for elements of k digits."""
+    """gfp_sub without the checks, for canonical elements."""
     r, k = params.r, params.k
     z = []
     borrow = 0
     for i in range(k):
-        a, b = x[i], y[i]
-        d = a - b - borrow
+        d = x[i] - y[i] - borrow
         if d < 0:
             d += r
             borrow = 1
-            if b >= r and (b > r or i < k - 1 or d < 0):
-                raise ValueError("non-canonical operand: digit above r")
         else:
             borrow = 0
-            # a digit r is legal only on top, and (p-1) - 0 keeps it
-            if a >= r and (a > r or i < k - 1 or d >= r and (d > r or any(z))):
-                raise ValueError("non-canonical operand: digit above r")
         z.append(d)
     if borrow:
         for i in range(k):
@@ -171,23 +165,26 @@ def sub_digits(params, x, y):
 
 
 def gfp_mul_pow_r(params, x, i):
-    """x * r^i mod p for 0 <= i <= 2k, by digit rotation and one subtraction.
+    """x * r^i mod p for 0 <= i <= 2k; raises ValueError for a bad x or i."""
+    check_canonical(params, x)
+    if not 0 <= i <= 2 * params.k:
+        raise ValueError("shift exponent out of range")
+    return rotate_digits(params, tuple(x), i)
 
-    Using r^k = -1, the digit sum of x * r^j, 0 < j < k, splits at r^k into
-    a low part B and a wrapped part A, so x * r^j = B - A and
-    x * r^(k+j) = A - B.  Cost is linear in k.
+
+def rotate_digits(params, x, i):
+    """gfp_mul_pow_r without the checks, for a canonical x and any i >= 0.
+
+    One digit rotation and one subtraction: using r^k = -1, the digit sum
+    of x * r^j, 0 < j < k, splits at r^k into a low part B and a wrapped
+    part A, so x * r^j = B - A and x * r^(k+j) = A - B.  Linear in k.
     """
     r, k = params.r, params.k
-    if len(x) != k:
-        raise ValueError("elements must have k digits")
-    if not 0 <= i <= 2 * k:
-        raise ValueError("shift exponent out of range")
     i %= 2 * k
     if i == 0:
-        check_canonical(params, x)
         return tuple(x)
     if i == k:
-        return sub_digits(params, gfp_zero(params), x)
+        return sub_digits(params, (0,) * k, x)
     j = i - k if i > k else i
     b = (0,) * j + x[: k - j]
     a = list(x[k - j:]) + [0] * (k - j)
@@ -195,9 +192,7 @@ def gfp_mul_pow_r(params, x, i):
         # form B: the digit r would land in a[j-1]; carry it one slot up
         a[j - 1] -= r
         a[j] += 1
-    if i > k:
-        return sub_digits(params, a, b)
-    return sub_digits(params, b, a)
+    return sub_digits(params, a, b) if i > k else sub_digits(params, b, a)
 
 
 def gfp_pow(params, x, e, mul):

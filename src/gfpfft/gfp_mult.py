@@ -39,7 +39,8 @@ from typing import NamedTuple
 from .fft import (BASE_SIZES, IntModField, build_plan, convolution_kernels,
                   dft_general, lap)
 from .gfp_field import (add_digits, check_canonical, digits_value, gfp_add,
-                        gfp_encode, gfp_mul_pow_r, gfp_sub, sub_digits)
+                        gfp_encode, gfp_mul_pow_r, gfp_sub, is_canonical,
+                        rotate_digits, sub_digits)
 from .word_field import P1, P2, P3, find_nth_root, word_prime
 
 
@@ -270,7 +271,8 @@ class FftOperand(tuple):
     Still the plain digit tuple for equality, hashing, copies and every
     field operation.  spectra holds, per prime of primes, the forward
     transform of its theta-weighted digits, which gfp_mul_fft reuses as y
-    over those primes: 4 NTTs per product instead of 6 over two primes."""
+    over those primes: 4 NTTs per product instead of 6 over two primes.
+    They depend only on the digits, k and the primes, never on r."""
 
     def __new__(cls, params, crt, y):
         check_canonical(params, y)
@@ -300,8 +302,7 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
     convert_out, which read 0.0: the weighting runs inside convolution.
     """
     check_canonical(params, x)
-    if not isinstance(y, FftOperand):
-        check_canonical(params, y)
+    check_canonical(params, y)
     return _mul_fft(params, crt, x, y, profile)
 
 
@@ -372,10 +373,11 @@ class GfpFftField(IntModField):
     """Digit-vector field view used by dft_general over GF(r^k + 1).
 
     mul dispatches to the FFT pipeline or the bigint reference according
-    to backend.  The power tables of IntModField hold FftOperands on the
-    fft backend, and root_power_mul_factory multiplies by powers of r or
-    1/r with a cyclic digit rotation; build_plan checks through shift_root
-    and two_k that a plan's base root is one of those two.
+    to backend; add, sub, mul and shift(x, i) = x * r^i run unchecked.
+    The power tables of IntModField hold FftOperands on the fft backend,
+    and root_power_mul_factory multiplies by powers of r or 1/r with a
+    cyclic digit rotation; build_plan checks through shift_root and two_k
+    that a plan's base root is one of those two.
     """
 
     def __init__(self, params, crt=None, backend="fft"):
@@ -388,14 +390,16 @@ class GfpFftField(IntModField):
         self.crt = crt
         self.backend = backend
         # unchecked cores: the field's own elements are canonical
+        self.is_element = partial(is_canonical, params)
         self.add = partial(add_digits, params)
         self.sub = partial(sub_digits, params)
         self.mul = (partial(_mul_fft, params, crt) if backend == "fft"
                     else partial(_mul_bigint, params))
+        self.shift = partial(rotate_digits, params)
         self.two_k = 2 * params.k
         self.shift_root = gfp_encode(params, params.r)
         # r^(2k-1) = 1/r, the root inverse transforms align with
-        self.shift_root_inv = self.shift(self.one(), self.two_k - 1)
+        self.shift_root_inv = gfp_mul_pow_r(params, self.one(), self.two_k - 1)
 
     def pow(self, a, e):
         params = self.params
@@ -411,9 +415,6 @@ class GfpFftField(IntModField):
         params = self.params
         return self._prepared(gfp_encode(params, pow(n, -1, params.p)))
 
-    def shift(self, a, i):
-        return gfp_mul_pow_r(self.params, a, i)
-
     def _prepared(self, a):
         if self.backend == "fft":
             return FftOperand(self.params, self.crt, a)
@@ -421,10 +422,11 @@ class GfpFftField(IntModField):
 
     def root_power_mul_factory(self, omega, count):
         if count <= self.two_k:
-            params = self.params
+            # read per dft_general call, so a wrapper on it sees each rotation
+            shift = self.shift
             if omega == self.shift_root:
-                return lambda a, t: gfp_mul_pow_r(params, a, t)
+                return shift
             if omega == self.shift_root_inv:
                 two_k = self.two_k
-                return lambda a, t: gfp_mul_pow_r(params, a, (two_k - t) % two_k)
+                return lambda a, t: shift(a, two_k - t)
         return super().root_power_mul_factory(omega, count)

@@ -7,7 +7,7 @@ import pytest
 
 from gfpfft import fft
 from gfpfft.fft import (
-    BASE_SIZES, IntModField, MontField, base_case_ops, build_plan, dft2,
+    BASE_SIZES, IntModField, MontField, base_case_ops, build_plan,
     dft_general, dft_inverse, stride_permutation, twiddle_apply,
 )
 from gfpfft.gfp_field import (
@@ -122,11 +122,6 @@ def test_twiddle_diagonal_structure():
     twiddle_apply(v, 4, 2, r_elem, field)
     want = [1, 1, 1, 1, 1, params.r, params.r ** 2, params.r ** 3]
     assert [gfp_decode(params, x) for x in v] == want
-
-
-def test_dft2():
-    field = gf257()
-    assert dft2(200, 100, field) == (43, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +243,57 @@ def test_dft_general_length_check():
     plan = build_plan(field, 8, 2, root_257(64))
     with pytest.raises(ValueError):
         dft_general([1] * 65, plan, field)
+
+
+def _noncanonical_form(params, x):
+    # the value of x with one unit of digit i+1 moved down as r to digit i
+    y = list(x)
+    i = next(i for i in range(params.k - 1) if y[i + 1])
+    y[i] += params.r
+    y[i + 1] -= 1
+    return tuple(y)
+
+
+def _transform_with_non_elements(kind):
+    # (field, plan, a valid input vector, non-element entries, non-element
+    # forms of the plan's root)
+    if kind == "intmod":
+        field = gf257()
+        w = root_257(64)
+        return (field, build_plan(field, 8, 2, w), list(range(64)),
+                [-3, 257], [w - 257, w + 257])
+    if kind == "mont":
+        ctx = word_prime(P1)
+        field = MontField(ctx)
+        w = word_primitive_root(ctx, 64)
+        vm = [mont_convert_in(ctx, a) for a in range(64)]
+        return field, build_plan(field, 8, 2, w), vm, [P1], [w + P1]
+    params = GfpParams(GFP_R, 8)
+    field = GfpFftField(params, backend=kind)
+    w = gfp_root(params, 256)
+    v = [gfp_encode(params, 3 * i + 1) for i in range(256)]
+    r_below_top = (params.r,) + (0,) * (params.k - 1)
+    return (field, build_plan(field, 16, 2, w), v, [r_below_top],
+            [_noncanonical_form(params, w)])
+
+
+@pytest.mark.parametrize("kind", ["intmod", "mont", "fft", "bigint"])
+def test_transforms_reject_non_elements(kind):
+    field, plan, v, bad_entries, bad_roots = _transform_with_non_elements(kind)
+    for bad in bad_entries:
+        assert not field.is_element(bad)
+        for pos in (0, len(v) - 1):
+            u = list(v)
+            u[pos] = bad
+            with pytest.raises(ValueError):
+                dft_general(u, plan, field)
+            with pytest.raises(ValueError):
+                dft_inverse(list(u), plan, field)
+    for w in bad_roots:
+        assert field.pow(w, plan.N) == field.pow(plan.omega, plan.N)
+        with pytest.raises(ValueError):
+            build_plan(field, plan.K, plan.e, w)
+    assert all(map(field.is_element, dft_general(list(v), plan, field)))
 
 
 def test_dft_linearity():

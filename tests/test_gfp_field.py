@@ -1,5 +1,6 @@
 """Radix-digit field arithmetic checked against integer reduction mod p."""
 
+import itertools
 import random
 
 import pytest
@@ -9,6 +10,7 @@ from gfpfft.gfp_field import (
     gfp_mul_pow_r, gfp_one, gfp_pow, gfp_primitive_root, gfp_sub, gfp_zero,
     is_canonical,
 )
+from gfpfft.gfp_mult import FftOperand, crt_default, gfp_mul_bigint, gfp_mul_fft
 
 SEED = 0x90FD
 
@@ -126,6 +128,65 @@ def test_add_rejects_noncanonical_digit():
         gfp_add(params, gfp_zero(params), (0, 0, 0, 21))
     minus_one = gfp_encode(params, params.p - 1)
     assert gfp_add(params, minus_one, minus_one) == gfp_encode(params, params.p - 2)
+
+
+def _expect(ok, params, call, want):
+    # call raises ValueError when ok is false, else returns want mod p
+    if not ok:
+        with pytest.raises(ValueError):
+            call()
+        return
+    got = call()
+    assert is_canonical(params, got)
+    assert gfp_decode(params, got) == want % params.p
+
+
+@pytest.mark.parametrize("r,k", [(2, 1), (3, 2), (4, 2), (2, 4), (3, 4)])
+def test_public_entries_check_exactly_canonical(r, k):
+    # every digit vector in [0, r+1]^k, one short and one long: each public
+    # entry raises exactly when is_canonical is false, else computes mod p
+    params = GfpParams(r, k)
+    p, crt = params.p, crt_default()
+    partners = {gfp_encode(params, n): n for n in (0, 1, p - 2, p - 1)}
+    vectors = list(itertools.product(range(r + 2), repeat=k))
+    vectors += [(0,) * (k - 1), (0,) * (k + 1)]
+    for x in vectors:
+        ok = is_canonical(params, x)
+        # the value x stands for; unused when x raises
+        a = sum(d * r ** i for i, d in enumerate(x)) if ok else 0
+        if ok:
+            assert gfp_decode(params, x) == a
+        else:
+            with pytest.raises(ValueError):
+                gfp_decode(params, x)
+        for i in range(2 * k + 1):
+            _expect(ok, params, lambda: gfp_mul_pow_r(params, x, i),
+                    a * r ** i)
+            _expect(ok, params, lambda: gfp_mul_pow_r(params, list(x), i),
+                    a * r ** i)
+        for y, b in partners.items():
+            _expect(ok, params, lambda: gfp_add(params, x, y), a + b)
+            _expect(ok, params, lambda: gfp_add(params, y, x), a + b)
+            _expect(ok, params, lambda: gfp_sub(params, x, y), a - b)
+            _expect(ok, params, lambda: gfp_sub(params, y, x), b - a)
+            _expect(ok, params, lambda: gfp_mul_bigint(params, x, y), a * b)
+            _expect(ok, params, lambda: gfp_mul_bigint(params, y, x), a * b)
+            _expect(ok, params, lambda: gfp_mul_fft(params, crt, x, y), a * b)
+            _expect(ok, params, lambda: gfp_mul_fft(params, crt, y, x), a * b)
+            _expect(ok, params, lambda: gfp_mul_fft(
+                params, crt, x, FftOperand(params, crt, y)), a * b)
+            _expect(ok, params, lambda: gfp_mul_fft(
+                params, crt, y, FftOperand(params, crt, x)), a * b)
+
+
+def test_mul_pow_r_rejects_digit_r_it_could_absorb():
+    # a digit r below the top, or r on top over non-zero digits, can cancel
+    # in the rotated subtraction; the check runs before it
+    params = GfpParams(10, 4)
+    with pytest.raises(ValueError):
+        gfp_mul_pow_r(params, (1, 0, 0, 10), 1)
+    with pytest.raises(ValueError):
+        gfp_mul_pow_r(params, (10, 0, 0, 0), 3)
 
 
 @pytest.mark.parametrize("k,r", ALL_CONFIGS)

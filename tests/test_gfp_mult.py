@@ -355,6 +355,29 @@ def test_fft_operand_rejects_noncanonical():
         FftOperand(params, crt_default(), (1, 0, 0))
 
 
+def test_fft_operand_is_checked_like_a_tuple():
+    # an operand built for another field is multiplied when its digits are
+    # canonical here, through its spectra if they cover the same primes
+    r = (1 << 59) + (1 << 16)
+    params = GfpParams(r, 4)
+    crt = crt_default()
+    x = gfp_encode(params, 3 ** 50)
+    wide = FftOperand(GfpParams(r, 8), crt, gfp_encode(GfpParams(r, 8), 5 ** 60))
+    with pytest.raises(ValueError):
+        gfp_mul_fft(params, crt, x, wide)
+    small = GfpParams(10, 4)
+    rng = random.Random(SEED)
+    for _ in range(20):
+        x = gfp_encode(small, rng.randrange(small.p))
+        y = tuple(rng.randrange(7) for _ in range(4))
+        other_radix = FftOperand(GfpParams(7, 4), crt, y)
+        assert other_radix.primes == crt.primes
+        assert gfp_mul_fft(small, crt, x, other_radix) == gfp_mul_bigint(small, x, y)
+    above = FftOperand(GfpParams(20, 4), crt, (15, 0, 0, 0))
+    with pytest.raises(ValueError):
+        gfp_mul_fft(small, crt, x, above)
+
+
 def _leftover_carry(params, x, y):
     # the carry the reassembly leaves at r^k, from schoolbook negacyclic
     # coefficients split into l, h, c and placed with one sign per wrap
