@@ -212,13 +212,13 @@ def _verify_checks(k, r, seed, samples):
 
 def cmd_verify(args, out=None):
     out = sys.stdout if out is None else out
-    k = args.k or 8
+    k = args.k
     r = parse_radix(args.r) if args.r else DEFAULT_RADIX.get(k)
     if r is None:
         raise ValueError("no default radix for k=%d, pass --r" % k)
     failed = 0
     counterexample = None
-    for item in _verify_checks(k, r, args.seed, args.trials or 200):
+    for item in _verify_checks(k, r, args.seed, args.trials):
         name, ok, detail = item[0], item[1], item[2]
         line = "%s %s" % ("PASS" if ok else "FAIL", name)
         if detail:
@@ -266,8 +266,7 @@ def _mul_backends(params, crt):
 def cmd_bench_mul(args, out=None):
     out = sys.stdout if out is None else out
     _pin_to_one_cpu()
-    ks = args.k_list or [8, 16, 32, 64]
-    trials = args.trials or 50
+    ks, trials = args.k_list, args.trials
     rng = random.Random(args.seed)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["k", "r", "fft_based_ns", "bigint_based_ns", "oracle_ns",
@@ -329,16 +328,13 @@ def _fft_bench_setup(K, e, backend, r, threads, seed):
     rng = random.Random(seed)
     if backend == "oracle-bigint":
         field = IntModField(params.p)
-        omega = gfp_decode(params, _gfp_root(params, N))
-        plan = build_plan(field, K, e, omega)
-        make = lambda: [rng.randrange(params.p) for _ in range(N)]
-        return field, plan, make, lambda v: v
-    field = gfp_mult.GfpFftField(
-        params, backend="fft" if backend == "gfp-fft" else "bigint")
-    omega = _gfp_root(params, N)
+    else:
+        field = gfp_mult.GfpFftField(
+            params, backend="fft" if backend == "gfp-fft" else "bigint")
+    omega = field.encode(gfp_decode(params, _gfp_root(params, N)))
     plan = build_plan(field, K, e, omega)
-    make = lambda: [gfp_encode(params, rng.randrange(params.p)) for _ in range(N)]
-    return field, plan, make, lambda v: gfp_decode(params, v)
+    make = lambda: [field.encode(rng.randrange(params.p)) for _ in range(N)]
+    return field, plan, make, field.decode
 
 
 def _gfp_root(params, N):
@@ -363,14 +359,13 @@ def _mult_count(K, e):
 def cmd_bench_fft(args, out=None):
     out = sys.stdout if out is None else out
     _pin_to_one_cpu()
-    Ks = args.K_list or [16]
-    es = args.e_list or [2]
+    Ks, es = args.K_list, args.e_list
     backends = [args.backend] if args.backend else list(BACKENDS)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["K", "e", "backend", "total_seconds",
                      "permutation_seconds", "basecase_seconds",
                      "twiddle_seconds", "avg_mult_seconds", "verified"])
-    trials = args.trials or 1
+    trials = args.trials
     for K in Ks:
         for e in es:
             reference = None
@@ -415,11 +410,10 @@ def cmd_bench_fft(args, out=None):
 def cmd_profile_mul(args, out=None):
     out = sys.stdout if out is None else out
     _pin_to_one_cpu()
-    ks = args.k_list or [8, 16, 32, 64]
-    trials = args.trials or 50
+    ks, trials = args.k_list, args.trials
     rng = random.Random(args.seed)
     writer = csv.writer(out, lineterminator="\n")
-    steps = ["convert_in", "convolution", "convert_out", "crt", "lhc", "final"]
+    steps = ["convolution", "crt", "lhc", "final"]
     writer.writerow(["k", "r"] + ["%s_pct" % s for s in steps])
     for k in ks:
         r = parse_radix(args.r) if args.r else DEFAULT_RADIX.get(k)
@@ -446,41 +440,48 @@ def _int_list(text):
     return [int(t) for t in text.split(",") if t]
 
 
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("must be a positive integer: %r" % text)
+    return n
+
+
 def build_parser():
     ap = argparse.ArgumentParser(
         prog="gfpfft",
         description="Generalized Fermat prime field arithmetic workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, k_list=False):
+    def common(p, trials, k_list=False):
         if k_list:
-            p.add_argument("--k", dest="k_list", type=_int_list, default=None,
+            p.add_argument("--k", dest="k_list", type=_int_list,
+                           default=[8, 16, 32, 64],
                            help="comma-separated k values")
         else:
-            p.add_argument("--k", type=int, default=None)
+            p.add_argument("--k", type=_positive_int, default=8)
         p.add_argument("--r", default=None,
                        help="radix, sparse syntax 2^a+2^b accepted")
-        p.add_argument("--trials", type=int, default=None)
+        p.add_argument("--trials", type=_positive_int, default=trials)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=None, help="output path")
 
     p = sub.add_parser("verify", help="run property suites")
-    common(p)
+    common(p, 200)
 
     p = sub.add_parser("bench-mul", help="time one multiplication per backend")
-    common(p, k_list=True)
+    common(p, 50, k_list=True)
 
     p = sub.add_parser("bench-fft", help="time a K^e DFT per backend")
-    common(p)
-    p.add_argument("--K", dest="K_list", type=_int_list, default=None,
+    common(p, 1)
+    p.add_argument("--K", dest="K_list", type=_int_list, default=[16],
                    help="comma-separated base-case sizes")
-    p.add_argument("--e", dest="e_list", type=_int_list, default=None,
+    p.add_argument("--e", dest="e_list", type=_int_list, default=[2],
                    help="comma-separated exponents")
     p.add_argument("--backend", choices=BACKENDS, default=None)
 
-    p = sub.add_parser("profile-mul", help="per-step multiplication profile "
-                       "(the theta-weighting runs inside convolution)")
-    common(p, k_list=True)
+    p = sub.add_parser("profile-mul", help="per-step multiplication profile")
+    common(p, 50, k_list=True)
     return ap
 
 

@@ -13,21 +13,19 @@ straight-line Python: per field over its add, sub and root-power multiply,
 and per word prime as lazily reduced negacyclic convolution kernels.  At
 e = 1 the transform is one base case.
 
-A field is any object providing is_element, add, sub, mul, pow, zero, one,
-inv_scalar, power_table and root_power_mul_factory; IntModField below
-implements them for plain residues mod a prime, and MontField and
-GfpFftField inherit the last two.  dft_general and build_plan check their
-inputs once with is_element; the arithmetic underneath checks nothing.
-power_table(omega, count) is the field's cached list of omega^t, t < count;
-plans take their twiddle table from it, so a field may store its entries in
-whatever form its mul handles fastest.
-root_power_mul_factory(omega, count) returns the closure x, t -> x*omega^t
-that the base cases and every twiddle stage use for powers of the base
-root.  It multiplies by the power table unless the field knows a cheaper
-way: GfpFftField returns a digit rotation when omega is r or 1/r, which
-turns the base cases and most twiddle work into linear-time digit moves.
-A field that can rotate also has shift_root and two_k; only build_plan reads
-them, to check that K = 2k and that omega^(N/2k) is r or 1/r.
+A field defines its element form, encode(int) -> element and
+decode(element) -> int, and its hot-path arithmetic: is_element, add, sub,
+mul and root_power_mul_factory(omega, count), the closure x, t ->
+x*omega^t that the base cases and every twiddle stage use for powers of
+the base root.  IntModField below defines both for plain residues mod a
+prime and, through encode and decode, does the plan-time math of every
+field once on native ints: pow, one, power_table and a plan's 1/N.
+power_table(omega, count) is the field's cached list of omega^t, t <
+count, each in the form its mul takes fastest; plans take their twiddle
+table from it.  build_plan calls root_power_mul_factory once, so a field
+whose multiplier only works for some roots rejects the others there.
+dft_general and build_plan check their inputs once with is_element; the
+arithmetic underneath checks nothing.
 
 Plans are immutable after construction and shareable; dft_general mutates
 exactly one caller-owned list.
@@ -37,7 +35,7 @@ import time
 from functools import lru_cache
 from operator import mul
 
-from .word_field import mont_convert_in, mont_inv, mont_mul, word_pow
+from .word_field import mont_convert_in, mont_convert_out, mont_mul
 
 BASE_SIZES = (2, 4, 8, 16, 32, 64)
 
@@ -251,18 +249,18 @@ class FftPlan:
 
     def n_inv(self):
         if self._n_inv is None:
-            self._n_inv = self.field.inv_scalar(self.N)
+            field = self.field
+            self._n_inv = field._prepared(field.encode(pow(self.N, -1, field.p)))
         return self._n_inv
 
 
 def build_plan(field, K, e, omega):
     """Validate omega and precompute the twiddle table.
 
-    omega must be a field element with omega^N = 1, omega^(N/2) = -1.  For
-    fields with a shift root the base-case constraint K = 2k is enforced and
-    omega^(N/2k) must equal the shift root r, or its inverse for plans
-    running the transform backwards, so that the base root is one the
-    field multiplies by with a digit rotation.
+    omega must be a field element with omega^N = 1, omega^(N/2) = -1, and
+    the field's root_power_mul_factory must accept the base root
+    omega^(N/K) with count K; GfpFftField raises there unless K = 2k and
+    the base root is r or 1/r.
     """
     if K not in BASE_SIZES:
         raise ValueError("unsupported base-case size")
@@ -270,20 +268,13 @@ def build_plan(field, K, e, omega):
         raise ValueError("e must be at least 1")
     if not field.is_element(omega):
         raise ValueError("omega is not an element of the field")
-    N = K ** e
-    one = field.one()
-    minus_one = field.sub(field.zero(), one)
-    if field.pow(omega, N) != one or field.pow(omega, N // 2) != minus_one:
+    N, p = K ** e, field.p
+    w = field.decode(omega)
+    if pow(w, N, p) != 1 or pow(w, N // 2, p) != p - 1:
         raise ValueError("omega is not a primitive N-th root")
-    shift_root = getattr(field, "shift_root", None)
-    if shift_root is not None:
-        two_k = field.two_k
-        if K != two_k:
-            raise ValueError("base-case size must equal 2k for this field")
-        # inverse plans land on 1/r
-        if field.pow(omega, N // two_k) not in (shift_root, field.shift_root_inv):
-            raise ValueError("omega^(N/2k) must equal the radix r or 1/r")
-    return FftPlan(field, K, e, omega)
+    plan = FftPlan(field, K, e, omega)
+    field.root_power_mul_factory(plan.omega_base, K)
+    return plan
 
 
 def _base_pass(v, plan, field, mul_base):
@@ -367,16 +358,25 @@ def dft_inverse(v, plan, field, profile=None):
 class IntModField:
     """Field view of Z/pZ on plain residues in [0, p) for the DFT machinery.
 
-    The base of the other fields: power_table and root_power_mul_factory
-    are written once here on top of one, mul and the _prepared hook.
+    The base of the other fields, which define only their element form,
+    encode and decode, and their hot-path arithmetic: is_element, add,
+    sub, mul and root_power_mul_factory.  pow, one and power_table are
+    written once here on native ints, and the _prepared hook puts a table
+    entry in the form mul takes fastest as its right operand.
     """
 
     def __init__(self, p):
         self.p = p
         self._tables = {}
 
+    def encode(self, n):
+        return n % self.p
+
+    def decode(self, a):
+        return a
+
     def is_element(self, a):
-        return 0 <= a < self.p
+        return type(a) is int and 0 <= a < self.p
 
     def add(self, a, b):
         c = a + b
@@ -391,19 +391,12 @@ class IntModField:
         return a * b % self.p
 
     def pow(self, a, e):
-        return pow(a, e, self.p)
-
-    def zero(self):
-        return 0
+        return self.encode(pow(self.decode(a), e, self.p))
 
     def one(self):
-        return 1
-
-    def inv_scalar(self, n):
-        return pow(n, -1, self.p)
+        return self.encode(1)
 
     def _prepared(self, a):
-        # a in the form mul takes fastest as its right operand
         return a
 
     def power_table(self, omega, count):
@@ -411,10 +404,11 @@ class IntModField:
         key = (omega, count)
         table = self._tables.get(key)
         if table is None:
-            table = [self.one()]
-            for _ in range(count - 1):
-                table.append(self.mul(table[-1], omega))
-            table = self._tables[key] = [self._prepared(t) for t in table]
+            w, p, wt = self.decode(omega), self.p, 1
+            table = self._tables[key] = []
+            for _ in range(count):
+                table.append(self._prepared(self.encode(wt)))
+                wt = wt * w % p
         return table
 
     def root_power_mul_factory(self, omega, count):
@@ -435,14 +429,11 @@ class MontField(IntModField):
         super().__init__(ctx.q)
         self.ctx = ctx
 
+    def encode(self, n):
+        return mont_convert_in(self.ctx, n % self.p)
+
+    def decode(self, a):
+        return mont_convert_out(self.ctx, a)
+
     def mul(self, a, b):
         return mont_mul(self.ctx, a, b)
-
-    def pow(self, a, e):
-        return word_pow(self.ctx, a, e)
-
-    def one(self):
-        return self.ctx.one_mont
-
-    def inv_scalar(self, n):
-        return mont_inv(self.ctx, mont_convert_in(self.ctx, n % self.ctx.q))

@@ -51,8 +51,8 @@ def gfp_one(params):
 
 
 def is_canonical(params, x):
-    """True iff x satisfies the form A or form B invariant."""
-    if len(x) != params.k:
+    """True iff x is k digits of type int in form A or form B."""
+    if len(x) != params.k or not {int}.issuperset(map(type, x)):
         return False
     r = params.r
     if min(x) >= 0 and max(x) < r:

@@ -298,8 +298,7 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
     profile, when given, accumulates seconds per pipeline step under the
     keys convolution (the compiled kernels: theta-weighting, transforms,
     pointwise product, unweighting and 1/k), crt, lhc (splitting and
-    placing the coefficients), final (carries), and convert_in and
-    convert_out, which read 0.0: the weighting runs inside convolution.
+    placing the coefficients) and final (carries).
     """
     check_canonical(params, x)
     check_canonical(params, y)
@@ -310,8 +309,6 @@ def _mul_fft(params, crt, x, y, profile=None):
     crt, plans = _resolve(params, crt)
     k, r = params.k, params.r
     if profile is not None:
-        for phase in ("convert_in", "convert_out"):
-            profile.setdefault(phase, 0.0)
         t0 = time.perf_counter()
     if isinstance(y, FftOperand) and y.primes == crt.primes:
         zs = [plan.inv(plan.fwd(x), b) for plan, b in zip(plans, y.spectra)]
@@ -372,12 +369,12 @@ def _mul_bigint(params, x, y):
 class GfpFftField(IntModField):
     """Digit-vector field view used by dft_general over GF(r^k + 1).
 
-    mul dispatches to the FFT pipeline or the bigint reference according
-    to backend; add, sub, mul and shift(x, i) = x * r^i run unchecked.
-    The power tables of IntModField hold FftOperands on the fft backend,
-    and root_power_mul_factory multiplies by powers of r or 1/r with a
-    cyclic digit rotation; build_plan checks through shift_root and two_k
-    that a plan's base root is one of those two.
+    Elements are canonical digit tuples: encode is gfp_encode and decode
+    digits_value.  mul dispatches to the FFT pipeline or the bigint
+    reference according to backend; add, sub, mul and shift(x, i) = x * r^i
+    run unchecked.  The power tables of IntModField hold FftOperands on the
+    fft backend.  root_power_mul_factory multiplies by powers of r or 1/r
+    with a cyclic digit rotation and rejects any other base root or size.
     """
 
     def __init__(self, params, crt=None, backend="fft"):
@@ -389,6 +386,8 @@ class GfpFftField(IntModField):
         self.params = params
         self.crt = crt
         self.backend = backend
+        self.encode = partial(gfp_encode, params)
+        self.decode = partial(digits_value, params)
         # unchecked cores: the field's own elements are canonical
         self.is_element = partial(is_canonical, params)
         self.add = partial(add_digits, params)
@@ -396,24 +395,9 @@ class GfpFftField(IntModField):
         self.mul = (partial(_mul_fft, params, crt) if backend == "fft"
                     else partial(_mul_bigint, params))
         self.shift = partial(rotate_digits, params)
-        self.two_k = 2 * params.k
-        self.shift_root = gfp_encode(params, params.r)
+        self.shift_root = self.encode(params.r)
         # r^(2k-1) = 1/r, the root inverse transforms align with
-        self.shift_root_inv = gfp_mul_pow_r(params, self.one(), self.two_k - 1)
-
-    def pow(self, a, e):
-        params = self.params
-        return gfp_encode(params, pow(digits_value(params, a), e, params.p))
-
-    def zero(self):
-        return (0,) * self.params.k
-
-    def one(self):
-        return gfp_encode(self.params, 1)
-
-    def inv_scalar(self, n):
-        params = self.params
-        return self._prepared(gfp_encode(params, pow(n, -1, params.p)))
+        self.shift_root_inv = gfp_mul_pow_r(params, self.one(), 2 * params.k - 1)
 
     def _prepared(self, a):
         if self.backend == "fft":
@@ -421,12 +405,18 @@ class GfpFftField(IntModField):
         return a
 
     def root_power_mul_factory(self, omega, count):
-        if count <= self.two_k:
-            # read per dft_general call, so a wrapper on it sees each rotation
-            shift = self.shift
-            if omega == self.shift_root:
-                return shift
-            if omega == self.shift_root_inv:
-                two_k = self.two_k
-                return lambda a, t: shift(a, two_k - t)
-        return super().root_power_mul_factory(omega, count)
+        """x, t -> x * omega^t as a digit rotation, t < count.
+
+        The base case of a transform over GF(r^k + 1): count must be 2k
+        and omega r or 1/r, else ValueError.
+        """
+        two_k = 2 * self.params.k
+        if count != two_k:
+            raise ValueError("base-case size must equal 2k for this field")
+        # read per dft_general call, so a wrapper on it sees each rotation
+        shift = self.shift
+        if omega == self.shift_root:
+            return shift
+        if omega == self.shift_root_inv:
+            return lambda a, t: shift(a, two_k - t)
+        raise ValueError("omega^(N/2k) must equal the radix r or 1/r")

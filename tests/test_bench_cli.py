@@ -203,7 +203,7 @@ def test_profile_mul_percentages(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     row = rows[0]
-    steps = ("convert_in", "convolution", "convert_out", "crt", "lhc", "final")
+    steps = ("convolution", "crt", "lhc", "final")
     total = sum(float(row["%s_pct" % s]) for s in steps)
     assert total == pytest.approx(100.0, abs=0.5)
 
@@ -224,7 +224,21 @@ def test_parser_rejects_unknown_command():
         parser.parse_args([])
 
 
-def test_main_reports_value_errors(capsys):
-    rc = main(["verify", "--k", "8", "--r", "2^65"])
+@pytest.mark.parametrize("argv", [
+    ["verify", "--k", "8", "--r", "2^65"],
+    ["verify", "--k", "0", "--trials", "3"],
+    ["verify", "--k", "-8"],
+    ["verify", "--trials", "0"],
+    ["bench-fft", "--trials", "0"],
+    ["bench-mul", "--trials", "-1"],
+    ["profile-mul", "--trials", "0"],
+], ids=["bad-radix", "verify-k0", "verify-k-neg", "verify-trials0",
+        "bench-fft-trials0", "bench-mul-trials-neg", "profile-mul-trials0"])
+def test_main_reports_value_errors(argv, capsys):
+    # argparse rejects a bad option value by exiting 2 itself
+    try:
+        rc = main(argv)
+    except SystemExit as exc:
+        rc = exc.code
     assert rc == 2
     assert "error:" in capsys.readouterr().err

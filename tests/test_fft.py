@@ -16,7 +16,8 @@ from gfpfft.gfp_field import (
 from gfpfft.gfp_mult import FftOperand, GfpFftField
 from gfpfft.oracle import oracle_naive_dft
 from gfpfft.word_field import (
-    P1, mont_convert_in, mont_convert_out, word_prime, word_primitive_root,
+    P1, find_nth_root, mont_convert_in, mont_convert_out, word_prime,
+    word_primitive_root,
 )
 
 SEED = 0xF1F0
@@ -261,7 +262,7 @@ def _transform_with_non_elements(kind):
         field = gf257()
         w = root_257(64)
         return (field, build_plan(field, 8, 2, w), list(range(64)),
-                [-3, 257], [w - 257, w + 257])
+                [-3, 257, 0.5, True], [w - 257, w + 257])
     if kind == "mont":
         ctx = word_prime(P1)
         field = MontField(ctx)
@@ -273,7 +274,8 @@ def _transform_with_non_elements(kind):
     w = gfp_root(params, 256)
     v = [gfp_encode(params, 3 * i + 1) for i in range(256)]
     r_below_top = (params.r,) + (0,) * (params.k - 1)
-    return (field, build_plan(field, 16, 2, w), v, [r_below_top],
+    fraction = (1.5,) + (0,) * (params.k - 1)
+    return (field, build_plan(field, 16, 2, w), v, [r_below_top, fraction],
             [_noncanonical_form(params, w)])
 
 
@@ -403,8 +405,8 @@ def test_cheap_twiddle_identity():
 
 @pytest.mark.parametrize("backend", ["fft", "bigint"])
 def test_gfp_plan_takes_twiddle_table_from_field(backend):
-    # one power table per field: plan twiddles and generic base-case
-    # factories share it, and the fft backend stores prepared operands
+    # one power table per field: plans take their twiddles from it, and
+    # the fft backend stores prepared operands
     params = GfpParams(GFP_R, 8)
     field = GfpFftField(params, backend=backend)
     omega = gfp_root(params, 256)
@@ -457,9 +459,30 @@ def test_montfield_adapter_operations():
         assert mont_convert_out(ctx, field.add(am, bm)) == (a + b) % P1
         assert mont_convert_out(ctx, field.sub(am, bm)) == (a - b) % P1
         assert mont_convert_out(ctx, field.mul(am, bm)) == a * b % P1
-    assert field.zero() == 0
     assert mont_convert_out(ctx, field.one()) == 1
     x = mont_convert_in(ctx, 12345)
     assert mont_convert_out(ctx, field.pow(x, 7)) == pow(12345, 7, P1)
-    assert mont_convert_out(ctx, field.mul(field.inv_scalar(64),
-                                           mont_convert_in(ctx, 64))) == 1
+
+
+@pytest.mark.parametrize("kind", ["intmod", "mont", "fft", "bigint"])
+def test_field_plan_math_matches_native_ints(kind):
+    # encode/decode, pow, one, power tables and 1/N against plain ints mod p
+    if kind == "intmod":
+        field, K, e = IntModField(P1), 8, 2
+    elif kind == "mont":
+        field, K, e = MontField(word_prime(P1)), 8, 2
+    else:
+        field, K, e = GfpFftField(GfpParams(GFP_R, 8), backend=kind), 16, 2
+    p, N = field.p, K ** e
+    rng = random.Random(SEED)
+    for n in [0, 1, p - 1, p, p + 5, -1, -p - 3, rng.randrange(p ** 2)]:
+        assert field.decode(field.encode(n)) == n % p
+    a = rng.randrange(p)
+    assert field.decode(field.pow(field.encode(a), 5)) == pow(a, 5, p)
+    assert field.decode(field.one()) == 1
+    w = find_nth_root(p, N) if kind in ("intmod", "mont") else \
+        gfp_decode(field.params, gfp_root(field.params, N))
+    plan = build_plan(field, K, e, field.encode(w))
+    table = field.power_table(plan.omega, 20)
+    assert [field.decode(t) for t in table] == [pow(w, t, p) for t in range(20)]
+    assert field.decode(plan.n_inv()) == pow(N, -1, p)

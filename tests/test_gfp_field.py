@@ -150,6 +150,8 @@ def test_public_entries_check_exactly_canonical(r, k):
     partners = {gfp_encode(params, n): n for n in (0, 1, p - 2, p - 1)}
     vectors = list(itertools.product(range(r + 2), repeat=k))
     vectors += [(0,) * (k - 1), (0,) * (k + 1)]
+    # digits of any type but int, bool included, are not canonical
+    vectors += [(0.5,) + (0,) * (k - 1), (True,) + (0,) * (k - 1)]
     for x in vectors:
         ok = is_canonical(params, x)
         # the value x stands for; unused when x raises

@@ -302,8 +302,7 @@ def test_mul_profile_steps():
     x = gfp_encode(params, rng.randrange(params.p))
     y = gfp_encode(params, rng.randrange(params.p))
     gfp_mul_fft(params, crt, x, y, profile=profile)
-    assert set(profile) == {"convert_in", "convolution", "convert_out",
-                            "crt", "lhc", "final"}
+    assert set(profile) == {"convolution", "crt", "lhc", "final"}
     assert all(t >= 0 for t in profile.values())
 
 
@@ -539,10 +538,8 @@ def test_field_adapter_scalar_helpers():
     a = rng.randrange(params.p)
     x = gfp_encode(params, a)
     assert to_int(params, field.pow(x, 5)) == pow(a, 5, params.p)
-    assert field.mul(field.inv_scalar(256), gfp_encode(params, 256)) == field.one()
     assert field.shift(x, 3) == gfp_mul_pow_r(params, x, 3)
-    assert field.zero() == (0,) * k
-    assert field.sub(field.zero(), field.one()) == gfp_encode(params, params.p - 1)
+    assert field.sub(field.encode(0), field.one()) == gfp_encode(params, params.p - 1)
 
 
 def test_field_adapter_mul_pow_factories():
@@ -562,8 +559,8 @@ def test_field_adapter_mul_pow_factories():
         want = to_int(params, x) * pow(r_inv, t, params.p) % params.p
         assert to_int(params, rot_inv(x, t)) == want
 
-    omega = gfp_encode(params, 3)
-    generic = field.root_power_mul_factory(omega, 8)
-    for t in range(8):
-        want = to_int(params, x) * pow(3, t, params.p) % params.p
-        assert to_int(params, generic(x, t)) == want
+    # only the base case of a GF(r^k + 1) transform: 2k powers of r or 1/r
+    with pytest.raises(ValueError):
+        field.root_power_mul_factory(gfp_encode(params, 3), 2 * k)
+    with pytest.raises(ValueError):
+        field.root_power_mul_factory(field.shift_root, k)
