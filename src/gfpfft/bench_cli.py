@@ -24,6 +24,7 @@ import statistics
 import struct
 import sys
 import time
+from functools import partial
 
 from . import gfp_field, gfp_mult, oracle
 from .fft import IntModField, base_case_ops, build_plan, dft_general
@@ -118,10 +119,6 @@ def read_gfpv(path):
 
 # ---------------------------------------------------------------------------
 # verify
-
-def _random_element(rng, params):
-    return gfp_encode(params, rng.randrange(params.p))
-
 
 def _verify_checks(k, r, seed, samples):
     """Yields (name, ok, detail) tuples; detail explains the first failure."""
@@ -248,21 +245,6 @@ def _pin_to_one_cpu():
         pass
 
 
-def _mul_backends(params, crt):
-    p = params.p
-
-    def fft_mul(x, y):
-        return gfp_mult.gfp_mul_fft(params, crt, x, y)
-
-    def big_mul(x, y):
-        return gfp_mult.gfp_mul_bigint(params, x, y)
-
-    def oracle_mul(xv, yv):
-        return oracle.oracle_mod_mul(p, xv, yv)
-
-    return fft_mul, big_mul, oracle_mul
-
-
 def cmd_bench_mul(args, out=None):
     out = sys.stdout if out is None else out
     _pin_to_one_cpu()
@@ -276,8 +258,9 @@ def cmd_bench_mul(args, out=None):
         if r is None:
             raise ValueError("no default radix for k=%d, pass --r" % k)
         params = GfpParams(r, k)
-        crt = gfp_mult.crt_default()
-        fft_mul, big_mul, oracle_mul = _mul_backends(params, crt)
+        fft_mul = partial(gfp_mult.gfp_mul_fft, params, gfp_mult.crt_default())
+        big_mul = partial(gfp_mult.gfp_mul_bigint, params)
+        oracle_mul = partial(oracle.oracle_mod_mul, params.p)
         pairs = [(rng.randrange(params.p), rng.randrange(params.p))
                  for _ in range(trials)]
         elems = [(gfp_encode(params, a), gfp_encode(params, b)) for a, b in pairs]
@@ -423,8 +406,8 @@ def cmd_profile_mul(args, out=None):
         crt = gfp_mult.crt_default()
         profile = {}
         for _ in range(trials):
-            x = _random_element(rng, params)
-            y = _random_element(rng, params)
+            x = gfp_encode(params, rng.randrange(params.p))
+            y = gfp_encode(params, rng.randrange(params.p))
             gfp_mult.gfp_mul_fft(params, crt, x, y, profile=profile)
         total = sum(profile.get(s, 0.0) for s in steps)
         row = [k, r] + ["%.2f" % (100.0 * profile.get(s, 0.0) / total)
@@ -437,7 +420,10 @@ def cmd_profile_mul(args, out=None):
 # argument plumbing
 
 def _int_list(text):
-    return [int(t) for t in text.split(",") if t]
+    values = [int(t) for t in text.split(",") if t]
+    if not values:
+        raise argparse.ArgumentTypeError("expected integers: %r" % text)
+    return values
 
 
 def _positive_int(text):
@@ -453,12 +439,13 @@ def build_parser():
         description="Generalized Fermat prime field arithmetic workbench")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, trials, k_list=False):
-        if k_list:
+    def common(p, trials, k="one"):
+        # --k only where the subcommand reads it: bench-fft takes none
+        if k == "list":
             p.add_argument("--k", dest="k_list", type=_int_list,
                            default=[8, 16, 32, 64],
                            help="comma-separated k values")
-        else:
+        elif k == "one":
             p.add_argument("--k", type=_positive_int, default=8)
         p.add_argument("--r", default=None,
                        help="radix, sparse syntax 2^a+2^b accepted")
@@ -470,10 +457,10 @@ def build_parser():
     common(p, 200)
 
     p = sub.add_parser("bench-mul", help="time one multiplication per backend")
-    common(p, 50, k_list=True)
+    common(p, 50, k="list")
 
     p = sub.add_parser("bench-fft", help="time a K^e DFT per backend")
-    common(p, 1)
+    common(p, 1, k=None)
     p.add_argument("--K", dest="K_list", type=_int_list, default=[16],
                    help="comma-separated base-case sizes")
     p.add_argument("--e", dest="e_list", type=_int_list, default=[2],
@@ -481,7 +468,7 @@ def build_parser():
     p.add_argument("--backend", choices=BACKENDS, default=None)
 
     p = sub.add_parser("profile-mul", help="per-step multiplication profile")
-    common(p, 50, k_list=True)
+    common(p, 50, k="list")
     return ap
 
 

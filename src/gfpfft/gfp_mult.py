@@ -2,20 +2,19 @@
 
 Two interchangeable pipelines compute x*y for canonical digit vectors:
 
-  gfp_mul_fft     digitwise negacyclic convolution on plain residues modulo
-                  each word prime of a CRT set, CRT reconstruction of the signed integer
-                  coefficients, decomposition of each coefficient as
-                  l + h*r + c*r^2 added into digit positions i, i+1, i+2,
-                  and one carry pass over the digits.
+  gfp_mul_fft     one negacyclic convolution of the digits modulo M, the
+                  product of the word primes of a CRT set; the signed lift
+                  of each coefficient; its l + h*r + c*r^2 added into digit
+                  positions i, i+1, i+2; one carry pass over the digits.
   gfp_mul_bigint  evaluate at r, multiply as arbitrary-precision integers,
                   reduce mod p, re-encode.
 
-Each convolution, the multiplier's and negacyclic_convolution's alike,
-runs through one cached ConvolutionPlan per (prime, k): for k <= 64 the
-compiled kernels of fft.convolution_kernels, weighting and unweighting
-included; above 64, dft_general over IntModField.  A constant that
-multiplies many elements, such as a twiddle factor, is best built once
-as FftOperand(params, crt, y), which keeps its transforms.
+The paper convolves modulo each word prime and rebuilds the coefficients
+by the CRT.  Z/M is the ring Z/q_1 x ... x Z/q_n, and a 2- or 3-word
+Python int costs about what a 1-word one does, so the CRT lives in the
+constants of one cached ConvolutionPlan per (primes, k) instead.  A
+constant that multiplies many elements, such as a twiddle factor, is
+best built once as FftOperand(params, crt, y), which keeps its transform.
 
 The coefficients reach k*r^2, so the primes must satisfy
 k*r^2 <= (q_1*...*q_n - 1)/2 together with 2k | q_i - 1.
@@ -38,6 +37,8 @@ from typing import NamedTuple
 
 from .fft import (BASE_SIZES, IntModField, build_plan, convolution_kernels,
                   dft_general, lap)
+# gfp_add and gfp_sub are not called here; they stay module globals
+# because perfbench/spans.py traces the add/sub layer through them
 from .gfp_field import (add_digits, check_canonical, digits_value, gfp_add,
                         gfp_encode, gfp_mul_pow_r, gfp_sub, is_canonical,
                         rotate_digits, sub_digits)
@@ -116,21 +117,18 @@ class CrtParams:
         for q in primes:
             word_prime(q)  # rejects composites
         modulus = prod(primes)
-        idempotents = tuple(modulus // q * pow(modulus // q, -1, q)
-                            for q in primes)
-        return cls(primes, modulus, (modulus - 1) // 2, idempotents)
+        return cls(primes, modulus, (modulus - 1) // 2, _idempotents(primes))
+
+
+def _idempotents(primes):
+    # e_i = 1 mod q_i and 0 mod every other prime of the set
+    m = prod(primes)
+    return tuple(m // q * pow(m // q, -1, q) for q in primes)
 
 
 @lru_cache(maxsize=None)
 def crt_default():
     return CrtParams.make()
-
-
-def _crt_signed(crt, columns):
-    # the signed value in [-half_range, half_range] of each residue tuple
-    m, half, idempotents = crt.modulus, crt.half_range, crt.idempotents
-    return [v - m if (v := sum(map(mul, res, idempotents)) % m) > half else v
-            for res in columns]
 
 
 def crt_combine(*args):
@@ -145,8 +143,9 @@ def crt_combine(*args):
     for a, q in zip(residues, params.primes):
         if not 0 <= a < q:
             raise ValueError("residues must be reduced")
-    v, = _crt_signed(params, [residues])
-    return SignedCoefficient(-v, True) if v < 0 else SignedCoefficient(v, False)
+    v = sum(map(mul, residues, params.idempotents)) % params.modulus
+    negative = v > params.half_range
+    return SignedCoefficient(params.modulus - v if negative else v, negative)
 
 
 class CompatReport(NamedTuple):
@@ -178,21 +177,26 @@ def check_prime_compat(params, crt):
 
 
 # ---------------------------------------------------------------------------
-# convolutions over a word prime
+# convolutions modulo a product of word primes
 
 class ConvolutionPlan:
-    """The length-k negacyclic convolution mod q: inv(fwd(x), fwd(y)).
+    """The length-k negacyclic convolution mod q = prod(primes),
+    inv(fwd(x), fwd(y)): k residues that are the CRT of the convolutions
+    mod each prime.
 
-    fwd(x) is the spectrum of the theta-weighted x, theta a primitive
-    2k-th root of unity; for k = 1 and the base-case sizes fwd and inv are
-    fft.convolution_kernels, and longer convolutions weigh, run
-    dft_general over IntModField(q) and unweigh.
+    fwd(x) is the spectrum of the theta-weighted x, theta the CRT lift of
+    find_nth_root(q_i, 2k) over the primes q_i.  For k = 1 and the
+    base-case sizes fwd and inv are fft.convolution_kernels over q, and
+    longer convolutions weigh, run dft_general over IntModField(q) and
+    unweigh.
     """
 
     __slots__ = ("fwd", "inv")
 
-    def __init__(self, q, k):
-        theta = find_nth_root(q, 2 * k)
+    def __init__(self, primes, k):
+        q = prod(primes)
+        roots = [find_nth_root(qi, 2 * k) for qi in primes]
+        theta = sum(map(mul, roots, _idempotents(primes))) % q
         if k == 1 or k in BASE_SIZES:
             self.fwd, self.inv = convolution_kernels(q, k, theta)
             return
@@ -225,7 +229,7 @@ def negacyclic_convolution(x, y, ctx, k):
     Inputs and output are plain residue vectors; the transforms run on
     the theta-weighted inputs, theta a primitive 2k-th root of unity.
     """
-    plan = _nega_plan(ctx.q, k)
+    plan = _nega_plan((ctx.q,), k)
     for v in (x, y):
         if len(v) != k or not all(0 <= d < ctx.q for d in v):
             raise ValueError("inputs must be k residues reduced mod q")
@@ -240,13 +244,12 @@ _resolved = {}
 
 
 def _resolve(params, crt):
-    # (the prime set the multiplier runs over for crt, its plans)
+    # (the prime set the multiplier runs over for crt, its plan)
     key = (params.r, params.k, crt.primes)
     found = _resolved.get(key)
     if found is None:
         wider = _extend_crt(params, crt)
-        found = _resolved[key] = (
-            wider, [_nega_plan(q, params.k) for q in wider.primes])
+        found = _resolved[key] = (wider, _nega_plan(wider.primes, params.k))
     return found
 
 
@@ -266,20 +269,21 @@ def _extend_crt(params, crt):
 
 
 class FftOperand(tuple):
-    """A canonical element that keeps its own transforms.
+    """A canonical element that keeps its own transform.
 
     Still the plain digit tuple for equality, hashing, copies and every
-    field operation.  spectra holds, per prime of primes, the forward
-    transform of its theta-weighted digits, which gfp_mul_fft reuses as y
-    over those primes: 4 NTTs per product instead of 6 over two primes.
-    They depend only on the digits, k and the primes, never on r."""
+    field operation.  spectrum is the forward transform of its
+    theta-weighted digits modulo the product of primes, k residues, which
+    gfp_mul_fft reuses as y over that prime set: 2 kernel calls per
+    product instead of 3.  It depends only on the digits, k and the
+    primes, never on r."""
 
     def __new__(cls, params, crt, y):
         check_canonical(params, y)
         self = super().__new__(cls, y)
-        crt, plans = _resolve(params, crt)
+        crt, plan = _resolve(params, crt)
         self.primes = crt.primes
-        self.spectra = tuple(plan.fwd(y) for plan in plans)
+        self.spectrum = plan.fwd(y)
         return self
 
     def __reduce__(self):
@@ -287,18 +291,20 @@ class FftOperand(tuple):
 
 
 def gfp_mul_fft(params, crt, x, y, profile=None):
-    """x*y via convolution mod each word prime, CRT, and LHC reassembly.
+    """x*y via one convolution mod the product of the CRT primes, the
+    signed lift of its coefficients, and LHC reassembly.
 
-    The convolutions run over crt's primes when check_prime_compat passes
-    for them, otherwise over crt plus the fewest library primes that make
-    it pass; ConfigurationError means no such extension exists.  A y built
-    as FftOperand over that prime set brings its spectra along.  Raises
+    The primes are crt's when check_prime_compat passes for them, else
+    crt's plus the fewest library primes that make it pass;
+    ConfigurationError means no such extension exists.  A y built as
+    FftOperand over that prime set brings its spectrum along.  Raises
     ValueError unless x and y are canonical elements.
 
     profile, when given, accumulates seconds per pipeline step under the
     keys convolution (the compiled kernels: theta-weighting, transforms,
-    pointwise product, unweighting and 1/k), crt, lhc (splitting and
-    placing the coefficients) and final (carries).
+    pointwise product, unweighting and 1/k), crt (the signed lift of each
+    coefficient from [0, M); the CRT itself is in the plan's constants),
+    lhc (splitting and placing the coefficients) and final (carries).
     """
     check_canonical(params, x)
     check_canonical(params, y)
@@ -306,18 +312,19 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
 
 
 def _mul_fft(params, crt, x, y, profile=None):
-    crt, plans = _resolve(params, crt)
+    crt, plan = _resolve(params, crt)
     k, r = params.k, params.r
     if profile is not None:
         t0 = time.perf_counter()
     if isinstance(y, FftOperand) and y.primes == crt.primes:
-        zs = [plan.inv(plan.fwd(x), b) for plan, b in zip(plans, y.spectra)]
+        zs = plan.inv(plan.fwd(x), y.spectrum)
     else:
-        zs = [plan.inv(plan.fwd(x), plan.fwd(y)) for plan in plans]
+        zs = plan.inv(plan.fwd(x), plan.fwd(y))
     if profile is not None:
         t0 = lap(profile, "convolution", t0)
 
-    coeffs = _crt_signed(crt, zip(*zs))
+    m, half = crt.modulus, crt.half_range
+    coeffs = [v - m if v > half else v for v in zs]
     if profile is not None:
         t0 = lap(profile, "crt", t0)
 
@@ -341,11 +348,12 @@ def _mul_fft(params, crt, x, y, profile=None):
     for j in range(k):
         carry, acc[j] = divmod(acc[j] + carry, r)
     u = tuple(acc[:k])
-    # the carry left over sits at r^k = -1
+    # the carry left over sits at r^k = -1; u and the encoded carry are
+    # canonical, so the unchecked digit loops settle it
     if carry > 0:
-        u = gfp_sub(params, u, gfp_encode(params, carry))
+        u = sub_digits(params, u, gfp_encode(params, carry))
     elif carry < 0:
-        u = gfp_add(params, u, gfp_encode(params, -carry))
+        u = add_digits(params, u, gfp_encode(params, -carry))
     if profile is not None:
         lap(profile, "final", t0)
     return u

@@ -232,8 +232,13 @@ def test_parser_rejects_unknown_command():
     ["bench-fft", "--trials", "0"],
     ["bench-mul", "--trials", "-1"],
     ["profile-mul", "--trials", "0"],
+    ["bench-fft", "--k", "3", "--K", "4", "--e", "1", "--r", "4",
+     "--backend", "oracle-bigint"],
+    ["bench-mul", "--k", ","],
+    ["bench-fft", "--K", ","],
 ], ids=["bad-radix", "verify-k0", "verify-k-neg", "verify-trials0",
-        "bench-fft-trials0", "bench-mul-trials-neg", "profile-mul-trials0"])
+        "bench-fft-trials0", "bench-mul-trials-neg", "profile-mul-trials0",
+        "bench-fft-k", "bench-mul-empty-k", "bench-fft-empty-K"])
 def test_main_reports_value_errors(argv, capsys):
     # argparse rejects a bad option value by exiting 2 itself
     try:

@@ -3,6 +3,8 @@
 import ast
 import pickle
 import random
+from collections import Counter
+from math import prod
 
 import pytest
 
@@ -13,7 +15,7 @@ from gfpfft.gfp_field import (
 )
 from gfpfft.gfp_mult import (
     ConfigurationError, CrtParams, FftOperand, GfpFftField, _nega_plan,
-    check_prime_compat, crt_combine, crt_default,
+    _resolve, check_prime_compat, crt_combine, crt_default,
     gfp_mul_bigint, gfp_mul_fft, lhc_decompose, negacyclic_convolution,
 )
 from gfpfft.oracle import oracle_mod_mul, oracle_negacyclic
@@ -184,28 +186,38 @@ def test_negacyclic_matches_oracle(q, k):
         assert list(got) == oracle_negacyclic(x, y, ctx)
 
 
-@pytest.mark.parametrize("q", [P1, P2, P3])
-@pytest.mark.parametrize("k", (1,) + BASE_SIZES)
-def test_compiled_kernels_match_oracle(q, k):
-    # all-(q-1) vectors give the largest unreduced intermediates
-    ctx = word_prime(q)
-    plan = _nega_plan(q, k)
-    rng = random.Random(SEED ^ (q % 4099) ^ k)
-    top = [q - 1] * k
-    cases = [(top, top), (top, [1] + [0] * (k - 1))]
-    cases += [([rng.randrange(q) for _ in range(k)],
-               [rng.randrange(q) for _ in range(k)]) for _ in range(10)]
+@pytest.mark.parametrize("primes", [(P1,), (P2,), (P3,), (P1, P2), (P1, P2, P3)],
+                         ids=lambda primes: "-".join(map(str, primes)))
+@pytest.mark.parametrize("k", (1,) + BASE_SIZES + (128, 256))
+def test_compiled_kernels_match_oracle(primes, k):
+    # the plan convolves mod the product of the primes: every output is
+    # checked mod each prime.  Field digits reach 2^64 - 1, above any word
+    # prime, and all-(q-1) and all-(2^64 - 1) vectors give the largest
+    # unreduced intermediates
+    plan = _nega_plan(primes, k)
+    m = prod(primes)
+    rng = random.Random(SEED ^ (m % 4099) ^ k)
+    q_top, word_top = [primes[0] - 1] * k, [(1 << 64) - 1] * k
+    cases = [(q_top, q_top), (word_top, word_top),
+             (word_top, [1] + [0] * (k - 1))]
+    cases += [([rng.randrange(1 << 64) for _ in range(k)],
+               [rng.randrange(1 << 64) for _ in range(k)])
+              for _ in range(10 if k <= 64 else 2)]
     for x, y in cases:
         got = plan.inv(plan.fwd(x), plan.fwd(y))
-        assert list(got) == oracle_negacyclic(x, y, ctx)
-    # field digits reach 2^64 - 1 > q; fwd reduces them itself
+        assert len(got) == k and all(0 <= g < m for g in got)
+        for q in primes:
+            want = oracle_negacyclic([d % q for d in x], [d % q for d in y],
+                                     word_prime(q))
+            assert [g % q for g in got] == want
+    # fwd reduces digits above the modulus itself
     wide = [(1 << 64) - 1 - i for i in range(k)]
-    assert plan.fwd(wide) == plan.fwd([d % q for d in wide])
+    assert plan.fwd(wide) == plan.fwd([d % m for d in wide])
 
 
 @pytest.mark.parametrize("k", (1,) + BASE_SIZES)
 def test_compiled_kernels_are_straight_line(k):
-    plan = _nega_plan(P1, k)
+    plan = _nega_plan((P1, P2), k)
     for fn in (plan.fwd, plan.inv):
         tree = ast.parse(fn.source)
         assert not [n for n in ast.walk(tree)
@@ -331,6 +343,35 @@ def test_fft_operand_matches_plain_and_bigint(k, r):
         assert u == gfp_mul_bigint(params, x, y)
     # a copy is the plain element
     assert type(pickle.loads(pickle.dumps(prepared))) is tuple
+
+
+@pytest.mark.parametrize("r,n_primes", [((1 << 59) + (1 << 16), 2),
+                                        ((1 << 63) + (1 << 34), 3)])
+def test_mul_runs_one_convolution(r, n_primes, monkeypatch):
+    # one plan over the product of the primes, whatever their number:
+    # fwd(x), fwd(y) and one inv per product, fwd(y) kept by an FftOperand
+    params = GfpParams(r, 8)
+    crt = crt_default()
+    wider, plan = _resolve(params, crt)
+    assert len(wider.primes) == n_primes
+    calls = Counter()
+    for name in ("fwd", "inv"):
+        def counting(*args, _fn=getattr(plan, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(plan, name, counting)
+    rng = random.Random(SEED ^ n_primes)
+    x = gfp_encode(params, rng.randrange(params.p))
+    y = gfp_encode(params, rng.randrange(params.p))
+    want = gfp_mul_bigint(params, x, y)
+    assert gfp_mul_fft(params, crt, x, y) == want
+    assert calls == {"fwd": 2, "inv": 1}
+    prepared = FftOperand(params, crt, y)
+    assert len(prepared.spectrum) == 8
+    assert all(0 <= s < wider.modulus for s in prepared.spectrum)
+    calls.clear()
+    assert gfp_mul_fft(params, crt, x, prepared) == want
+    assert calls == {"fwd": 1, "inv": 1}
 
 
 def test_fft_operand_over_other_primes_falls_back():
