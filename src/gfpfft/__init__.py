@@ -8,8 +8,8 @@ size K^e works over any of the supported coefficient fields.
 """
 
 from .gfp_field import (GfpParams, gfp_add, gfp_decode, gfp_encode,
-                        gfp_find_nth_root, gfp_mul_pow_r, gfp_pow,
-                        gfp_primitive_root, gfp_sub)
+                        gfp_find_nth_root, gfp_mul_pow_r, gfp_primitive_root,
+                        gfp_sub)
 from .gfp_mult import (ConfigurationError, CrtParams, FftOperand,
                        GfpFftField, check_prime_compat, crt_combine,
                        crt_default, gfp_mul_bigint,
@@ -23,7 +23,7 @@ from .word_field import (P1, P2, P3, WordPrime, mont_convert_in,
 __version__ = "0.1.0"
 
 __all__ = [
-    "GfpParams", "gfp_add", "gfp_sub", "gfp_mul_pow_r", "gfp_pow",
+    "GfpParams", "gfp_add", "gfp_sub", "gfp_mul_pow_r",
     "gfp_encode", "gfp_decode", "gfp_primitive_root", "gfp_find_nth_root",
     "ConfigurationError", "CrtParams", "FftOperand", "GfpFftField",
     "check_prime_compat", "crt_combine", "crt_default",

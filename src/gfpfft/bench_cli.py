@@ -83,6 +83,13 @@ def parse_radix(text):
     return val
 
 
+def _radix(text, k):
+    """The radix --r gives, else DEFAULT_RADIX[k]; ValueError if neither."""
+    if not text and k not in DEFAULT_RADIX:
+        raise ValueError("no default radix for k=%d, pass --r" % k)
+    return parse_radix(text) if text else DEFAULT_RADIX[k]
+
+
 # ---------------------------------------------------------------------------
 # GFPV vector files
 
@@ -210,9 +217,7 @@ def _verify_checks(k, r, seed, samples):
 def cmd_verify(args, out=None):
     out = sys.stdout if out is None else out
     k = args.k
-    r = parse_radix(args.r) if args.r else DEFAULT_RADIX.get(k)
-    if r is None:
-        raise ValueError("no default radix for k=%d, pass --r" % k)
+    r = _radix(args.r, k)
     failed = 0
     counterexample = None
     for item in _verify_checks(k, r, args.seed, args.trials):
@@ -254,9 +259,7 @@ def cmd_bench_mul(args, out=None):
     writer.writerow(["k", "r", "fft_based_ns", "bigint_based_ns", "oracle_ns",
                      "fft_median_ns", "bigint_median_ns", "oracle_median_ns"])
     for k in ks:
-        r = parse_radix(args.r) if args.r else DEFAULT_RADIX.get(k)
-        if r is None:
-            raise ValueError("no default radix for k=%d, pass --r" % k)
+        r = _radix(args.r, k)
         params = GfpParams(r, k)
         fft_mul = partial(gfp_mult.gfp_mul_fft, params, gfp_mult.crt_default())
         big_mul = partial(gfp_mult.gfp_mul_bigint, params)
@@ -293,20 +296,16 @@ def cmd_bench_mul(args, out=None):
 def _fft_bench_setup(K, e, backend, r, threads, seed):
     """Returns (field, plan, make_vector, to_int) for one configuration.
 
-    threads is accepted for existing callers and ignored: base cases run
-    serially.
+    r None means DEFAULT_RADIX[K/2].  threads is accepted for existing
+    callers and ignored: base cases run serially.
     """
     k = K // 2
-    if r is None:
-        r = DEFAULT_RADIX.get(k)
-        if r is None:
-            raise ValueError("no default radix for K=%d, pass --r" % K)
-    params = GfpParams(r, k)
+    params = GfpParams(_radix(None, k) if r is None else r, k)
     # name the cause up front; the root search would only run out of draws
     if not oracle.oracle_is_probable_prime(params.p, 40):
         raise ValueError(
             "r^%d+1 is not prime for r=%d, transforms need a prime modulus"
-            % (k, r))
+            % (k, params.r))
     N = K ** e
     rng = random.Random(seed)
     if backend == "oracle-bigint":
@@ -355,8 +354,7 @@ def cmd_bench_fft(args, out=None):
             rows = []
             for backend in backends:
                 field, plan, make, to_int = _fft_bench_setup(
-                    K, e, backend, parse_radix(args.r) if args.r else None,
-                    None, args.seed)
+                    K, e, backend, _radix(args.r, K // 2), None, args.seed)
                 v0 = make()
                 check = list(v0)
                 dft_general(check, plan, field)
@@ -396,12 +394,10 @@ def cmd_profile_mul(args, out=None):
     ks, trials = args.k_list, args.trials
     rng = random.Random(args.seed)
     writer = csv.writer(out, lineterminator="\n")
-    steps = ["convolution", "crt", "lhc", "final"]
+    steps = ["convolution", "carry"]
     writer.writerow(["k", "r"] + ["%s_pct" % s for s in steps])
     for k in ks:
-        r = parse_radix(args.r) if args.r else DEFAULT_RADIX.get(k)
-        if r is None:
-            raise ValueError("no default radix for k=%d, pass --r" % k)
+        r = _radix(args.r, k)
         params = GfpParams(r, k)
         crt = gfp_mult.crt_default()
         profile = {}

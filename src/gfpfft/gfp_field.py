@@ -21,6 +21,14 @@ from dataclasses import dataclass
 
 from .word_field import find_nth_root
 
+# the largest k GfpParams accepts: it builds p = r^k + 1 up front, and a
+# 64-bit radix at k = 2^16 already makes p 4 million bits long
+MAX_K = 1 << 16
+
+
+class ConfigurationError(ValueError):
+    """Raised when a field or a (field, prime set) pair cannot be used."""
+
 
 @dataclass(frozen=True)
 class GfpParams:
@@ -28,7 +36,7 @@ class GfpParams:
 
     Digit arithmetic is well defined for any such p; field semantics such
     as inverses and roots of unity need p prime (the oracle module can
-    check).
+    check).  k above MAX_K raises ConfigurationError before p is computed.
     """
 
     r: int
@@ -37,6 +45,9 @@ class GfpParams:
     def __post_init__(self):
         if self.k < 1 or self.k & (self.k - 1):
             raise ValueError("k must be a power of two")
+        if self.k > MAX_K:
+            raise ConfigurationError("k = %d exceeds MAX_K = %d"
+                                     % (self.k, MAX_K))
         if not 2 <= self.r < (1 << 64):
             raise ValueError("r must fit in a 64-bit word and be at least 2")
         object.__setattr__(self, "p", self.r ** self.k + 1)
@@ -193,22 +204,6 @@ def rotate_digits(params, x, i):
         a[j - 1] -= r
         a[j] += 1
     return sub_digits(params, a, b) if i > k else sub_digits(params, b, a)
-
-
-def gfp_pow(params, x, e, mul):
-    """x^e by square and multiply.  mul is the multiplication backend,
-    called as mul(params, a, b).  Exponents are not special-cased."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    acc = gfp_one(params)
-    base = x
-    while e:
-        if e & 1:
-            acc = mul(params, acc, base)
-        e >>= 1
-        if e:
-            base = mul(params, base, base)
-    return acc
 
 
 def gfp_primitive_root(params, N, g):

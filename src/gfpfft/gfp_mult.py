@@ -3,17 +3,21 @@
 Two interchangeable pipelines compute x*y for canonical digit vectors:
 
   gfp_mul_fft     one negacyclic convolution of the digits modulo M, the
-                  product of the word primes of a CRT set; the signed lift
-                  of each coefficient; its l + h*r + c*r^2 added into digit
-                  positions i, i+1, i+2; one carry pass over the digits.
+                  product of the word primes of a CRT set, then one signed
+                  carry pass: digit i is the signed lift of coefficient i
+                  plus the carry, floor-divided by r; the carry out of the
+                  top digit sits at r^k = -1 and is subtracted.
   gfp_mul_bigint  evaluate at r, multiply as arbitrary-precision integers,
                   reduce mod p, re-encode.
 
 The paper convolves modulo each word prime and rebuilds the coefficients
 by the CRT.  Z/M is the ring Z/q_1 x ... x Z/q_n, and a 2- or 3-word
 Python int costs about what a 1-word one does, so the CRT lives in the
-constants of one cached ConvolutionPlan per (primes, k) instead.  A
-constant that multiplies many elements, such as a twiddle factor, is
+constants of one cached ConvolutionPlan per (primes, k) instead, and the
+carry pass divides each whole coefficient where the paper splits it into
+words l + h*r + c*r^2; crt_combine and lhc_decompose keep those steps.
+
+A constant that multiplies many elements, such as a twiddle factor, is
 best built once as FftOperand(params, crt, y), which keeps its transform.
 
 The coefficients reach k*r^2, so the primes must satisfy
@@ -39,14 +43,10 @@ from .fft import (BASE_SIZES, IntModField, build_plan, convolution_kernels,
                   dft_general, lap)
 # gfp_add and gfp_sub are not called here; they stay module globals
 # because perfbench/spans.py traces the add/sub layer through them
-from .gfp_field import (add_digits, check_canonical, digits_value, gfp_add,
-                        gfp_encode, gfp_mul_pow_r, gfp_sub, is_canonical,
-                        rotate_digits, sub_digits)
+from .gfp_field import (ConfigurationError, add_digits, check_canonical,
+                        digits_value, gfp_add, gfp_encode, gfp_mul_pow_r,
+                        gfp_sub, is_canonical, rotate_digits, sub_digits)
 from .word_field import P1, P2, P3, find_nth_root, word_prime
-
-
-class ConfigurationError(ValueError):
-    """Raised when a (field, prime set) combination cannot be used."""
 
 
 # ---------------------------------------------------------------------------
@@ -66,7 +66,7 @@ def lhc_decompose(s, r):
 
     The caller guarantees s <= k*r^2 and attaches any sign itself.  c stays
     at most k; radices smaller than k are the only case where c can reach
-    r, and the field-level carry pass downstream absorbs that.
+    r.
     """
     if s < 0:
         raise ValueError("value must be non-negative")
@@ -291,8 +291,8 @@ class FftOperand(tuple):
 
 
 def gfp_mul_fft(params, crt, x, y, profile=None):
-    """x*y via one convolution mod the product of the CRT primes, the
-    signed lift of its coefficients, and LHC reassembly.
+    """x*y via one convolution mod the product of the CRT primes and
+    one signed carry pass over its coefficients.
 
     The primes are crt's when check_prime_compat passes for them, else
     crt's plus the fewest library primes that make it pass;
@@ -302,9 +302,9 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
 
     profile, when given, accumulates seconds per pipeline step under the
     keys convolution (the compiled kernels: theta-weighting, transforms,
-    pointwise product, unweighting and 1/k), crt (the signed lift of each
-    coefficient from [0, M); the CRT itself is in the plan's constants),
-    lhc (splitting and placing the coefficients) and final (carries).
+    pointwise product, unweighting and 1/k; the CRT itself is in the
+    plan's constants) and carry (the signed lift of each coefficient from
+    [0, M), the carry pass and the settle of the carry out at r^k = -1).
     """
     check_canonical(params, x)
     check_canonical(params, y)
@@ -313,7 +313,6 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
 
 def _mul_fft(params, crt, x, y, profile=None):
     crt, plan = _resolve(params, crt)
-    k, r = params.k, params.r
     if profile is not None:
         t0 = time.perf_counter()
     if isinstance(y, FftOperand) and y.primes == crt.primes:
@@ -323,39 +322,22 @@ def _mul_fft(params, crt, x, y, profile=None):
     if profile is not None:
         t0 = lap(profile, "convolution", t0)
 
-    m, half = crt.modulus, crt.half_range
-    coeffs = [v - m if v > half else v for v in zs]
-    if profile is not None:
-        t0 = lap(profile, "crt", t0)
-
-    # coefficient i is l + h*r + c*r^2 at r^i, c signed: its parts go to
-    # digit positions i, i+1, i+2, of which k and k+1 are folded back below
-    acc = [0] * (k + 2)
-    for i, s in enumerate(coeffs):
-        hc, l = divmod(s, r)
-        c, h = divmod(hc, r)
-        acc[i] += l
-        acc[i + 1] += h
-        acc[i + 2] = c
-    if profile is not None:
-        t0 = lap(profile, "lhc", t0)
-
-    # r^k = -1: each wrap past k negates (for k = 1, c wraps twice)
-    for j in (k, k + 1):
-        wraps, low = divmod(j, k)
-        acc[low] += -acc[j] if wraps & 1 else acc[j]
+    # coefficient i is the signed lift of zs[i] from [0, M), at r^i; one
+    # floor divmod per coefficient carries it into digit i
+    m, half, r = crt.modulus, crt.half_range, params.r
+    u = []
     carry = 0
-    for j in range(k):
-        carry, acc[j] = divmod(acc[j] + carry, r)
-    u = tuple(acc[:k])
+    for v in zs:
+        carry, d = divmod((v - m if v > half else v) + carry, r)
+        u.append(d)
     # the carry left over sits at r^k = -1; u and the encoded carry are
     # canonical, so the unchecked digit loops settle it
     if carry > 0:
         u = sub_digits(params, u, gfp_encode(params, carry))
-    elif carry < 0:
+    else:
         u = add_digits(params, u, gfp_encode(params, -carry))
     if profile is not None:
-        lap(profile, "final", t0)
+        lap(profile, "carry", t0)
     return u
 
 

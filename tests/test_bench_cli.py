@@ -203,9 +203,10 @@ def test_profile_mul_percentages(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     row = rows[0]
-    steps = ("convolution", "crt", "lhc", "final")
-    total = sum(float(row["%s_pct" % s]) for s in steps)
+    assert set(row) == {"k", "r", "convolution_pct", "carry_pct"}
+    total = float(row["convolution_pct"]) + float(row["carry_pct"])
     assert total == pytest.approx(100.0, abs=0.5)
+    assert float(row["carry_pct"]) > 0
 
 
 def test_mult_count_closed_form():
@@ -224,26 +225,28 @@ def test_parser_rejects_unknown_command():
         parser.parse_args([])
 
 
-@pytest.mark.parametrize("argv", [
-    ["verify", "--k", "8", "--r", "2^65"],
-    ["verify", "--k", "0", "--trials", "3"],
-    ["verify", "--k", "-8"],
-    ["verify", "--trials", "0"],
-    ["bench-fft", "--trials", "0"],
-    ["bench-mul", "--trials", "-1"],
-    ["profile-mul", "--trials", "0"],
-    ["bench-fft", "--k", "3", "--K", "4", "--e", "1", "--r", "4",
-     "--backend", "oracle-bigint"],
-    ["bench-mul", "--k", ","],
-    ["bench-fft", "--K", ","],
+@pytest.mark.parametrize("argv,message", [
+    (["verify", "--k", "8", "--r", "2^65"], "error: radix out of word range"),
+    (["verify", "--k", "0", "--trials", "3"], "error:"),
+    (["verify", "--k", "-8"], "error:"),
+    (["verify", "--trials", "0"], "error:"),
+    (["bench-fft", "--trials", "0"], "error:"),
+    (["bench-mul", "--trials", "-1"], "error:"),
+    (["profile-mul", "--trials", "0"], "error:"),
+    (["bench-fft", "--k", "3", "--K", "4", "--e", "1", "--r", "4",
+      "--backend", "oracle-bigint"], "error:"),
+    (["bench-mul", "--k", ","], "error:"),
+    (["bench-fft", "--K", ","], "error:"),
+    (["bench-mul", "--k", "4"], "error: no default radix"),
 ], ids=["bad-radix", "verify-k0", "verify-k-neg", "verify-trials0",
         "bench-fft-trials0", "bench-mul-trials-neg", "profile-mul-trials0",
-        "bench-fft-k", "bench-mul-empty-k", "bench-fft-empty-K"])
-def test_main_reports_value_errors(argv, capsys):
+        "bench-fft-k", "bench-mul-empty-k", "bench-fft-empty-K",
+        "bench-mul-no-default-radix"])
+def test_main_reports_value_errors(argv, message, capsys):
     # argparse rejects a bad option value by exiting 2 itself
     try:
         rc = main(argv)
     except SystemExit as exc:
         rc = exc.code
     assert rc == 2
-    assert "error:" in capsys.readouterr().err
+    assert message in capsys.readouterr().err

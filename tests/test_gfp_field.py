@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from gfpfft import gfp_mult
 from gfpfft.gfp_field import (
-    GfpParams, gfp_add, gfp_decode, gfp_encode, gfp_find_nth_root,
-    gfp_mul_pow_r, gfp_one, gfp_pow, gfp_primitive_root, gfp_sub, gfp_zero,
-    is_canonical,
+    MAX_K, ConfigurationError, GfpParams, gfp_add, gfp_decode, gfp_encode,
+    gfp_find_nth_root, gfp_mul_pow_r, gfp_one, gfp_primitive_root, gfp_sub,
+    gfp_zero, is_canonical,
 )
 from gfpfft.gfp_mult import FftOperand, crt_default, gfp_mul_bigint, gfp_mul_fft
 
@@ -24,11 +25,6 @@ TABLE_CONFIGS = [
 SMALL_CONFIGS = [(1, 4), (2, 6), (4, 10), (8, 2)]
 
 ALL_CONFIGS = TABLE_CONFIGS + SMALL_CONFIGS
-
-
-def mul_big(params, x, y):
-    # reference multiplication backend for gfp_pow
-    return gfp_encode(params, gfp_decode(params, x) * gfp_decode(params, y))
 
 
 def interesting_values(params, rng, count):
@@ -48,6 +44,16 @@ def test_params_validation():
         GfpParams(1 << 64, 8)
     p = GfpParams(10, 4)
     assert p.p == 10 ** 4 + 1
+
+
+def test_params_max_k():
+    # the limit is checked before r^k is built, so these allocate nothing
+    assert gfp_mult.ConfigurationError is ConfigurationError
+    assert issubclass(ConfigurationError, ValueError)
+    for k in (2 * MAX_K, 1 << 40):
+        with pytest.raises(ConfigurationError, match="MAX_K"):
+            GfpParams(2, k)
+    assert GfpParams(2, MAX_K).p == 2 ** MAX_K + 1
 
 
 def test_zero_one_shapes():
@@ -224,29 +230,15 @@ def test_mul_pow_r_composition(k, r):
         assert once == gfp_mul_pow_r(params, x, (i + j) % (2 * k))
 
 
-@pytest.mark.parametrize("k,r", [(8, (1 << 59) + (1 << 16)), (2, 6)])
-def test_gfp_pow(k, r):
-    params = GfpParams(r, k)
-    rng = random.Random(SEED)
-    p = params.p
-    for _ in range(40):
-        a = rng.randrange(p)
-        x = gfp_encode(params, a)
-        for e in (0, 1, 2, 5, rng.randrange(1 << 64)):
-            assert gfp_decode(params, gfp_pow(params, x, e, mul_big)) == pow(a, e, p)
-    with pytest.raises(ValueError):
-        gfp_pow(params, gfp_one(params), -1, mul_big)
-
-
 def test_primitive_root_contract():
     params = GfpParams((1 << 59) + (1 << 16), 8)
     N = 1 << 10
     g = gfp_find_nth_root(params, N)
     omega = gfp_primitive_root(params, N, g)
-    r_elem = gfp_encode(params, params.r)
-    assert gfp_pow(params, omega, N // (2 * params.k), mul_big) == r_elem
-    assert gfp_pow(params, omega, N, mul_big) == gfp_one(params)
-    assert gfp_pow(params, omega, N // 2, mul_big) == gfp_encode(params, params.p - 1)
+    w, p = gfp_decode(params, omega), params.p
+    assert pow(w, N // (2 * params.k), p) == params.r
+    assert pow(w, N, p) == 1
+    assert pow(w, N // 2, p) == p - 1
 
 
 def test_primitive_root_n_equals_2k():
@@ -274,8 +266,9 @@ def test_find_nth_root_trivial_orders():
 def test_find_nth_root_order_checks():
     params = GfpParams((1 << 63) + (1 << 34), 8)
     g = gfp_find_nth_root(params, 16, seed=3)
-    assert gfp_pow(params, g, 16, mul_big) == gfp_one(params)
-    assert gfp_pow(params, g, 8, mul_big) == gfp_encode(params, params.p - 1)
+    w, p = gfp_decode(params, g), params.p
+    assert pow(w, 16, p) == 1
+    assert pow(w, 8, p) == p - 1
     assert g == gfp_find_nth_root(params, 16, seed=3)
     assert g == (0, 0, 0, 0, 0, 1, 0, 0)  # r^5 for this seed
 

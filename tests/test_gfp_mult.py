@@ -5,6 +5,7 @@ import pickle
 import random
 from collections import Counter
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -314,8 +315,34 @@ def test_mul_profile_steps():
     x = gfp_encode(params, rng.randrange(params.p))
     y = gfp_encode(params, rng.randrange(params.p))
     gfp_mul_fft(params, crt, x, y, profile=profile)
-    assert set(profile) == {"convolution", "crt", "lhc", "final"}
+    assert set(profile) == {"convolution", "carry"}
     assert all(t >= 0 for t in profile.values())
+
+
+def test_mul_settle_exhaustive_small_fields():
+    # every pair of every field r <= 6, k <= 2 and r <= 4, k = 4; the carry
+    # out of the top digit is floor(S / r^k), S = sum x_i y_j r^(i+j) with
+    # r^k read as -1 for i + j >= k and no carries taken
+    crt = crt_default()
+    carry_signs, form_b = set(), 0
+    fields = [(k, r) for k in (1, 2) for r in range(2, 7)]
+    fields += [(4, r) for r in range(2, 5)]
+    for k, r in fields:
+        params = GfpParams(r, k)
+        p, rk = params.p, r ** k
+        elems = [gfp_encode(params, a) for a in range(p)]
+        # weights[b][i] = sum_j y_j r^(i+j), the wrapped terms negated
+        weights = [[sum(y[j] * (r ** (i + j) if i + j < k else -r ** (i + j - k))
+                        for j in range(k)) for i in range(k)] for y in elems]
+        for a, x in enumerate(elems):
+            for b, y in enumerate(elems):
+                u = gfp_mul_fft(params, crt, x, y)
+                assert gfp_decode(params, u) == a * b % p
+                form_b += u[-1] == r
+                carry = sum(map(mul, x, weights[b])) // rk
+                carry_signs.add((carry > 0) - (carry < 0))
+    assert carry_signs == {-1, 0, 1}
+    assert form_b
 
 
 def _specials_and_random(params, rng, count):
