@@ -254,12 +254,12 @@ def cmd_bench_mul(args, out=None):
     out = sys.stdout if out is None else out
     _pin_to_one_cpu()
     ks, trials = args.k_list, args.trials
+    radii = [_radix(args.r, k) for k in ks]  # raise before the header
     rng = random.Random(args.seed)
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["k", "r", "fft_based_ns", "bigint_based_ns", "oracle_ns",
                      "fft_median_ns", "bigint_median_ns", "oracle_median_ns"])
-    for k in ks:
-        r = _radix(args.r, k)
+    for k, r in zip(ks, radii):
         params = GfpParams(r, k)
         fft_mul = partial(gfp_mult.gfp_mul_fft, params, gfp_mult.crt_default())
         big_mul = partial(gfp_mult.gfp_mul_bigint, params)
@@ -343,6 +343,7 @@ def cmd_bench_fft(args, out=None):
     _pin_to_one_cpu()
     Ks, es = args.K_list, args.e_list
     backends = [args.backend] if args.backend else list(BACKENDS)
+    radii = {K: _radix(args.r, K // 2) for K in Ks}  # raise before the header
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(["K", "e", "backend", "total_seconds",
                      "permutation_seconds", "basecase_seconds",
@@ -354,7 +355,7 @@ def cmd_bench_fft(args, out=None):
             rows = []
             for backend in backends:
                 field, plan, make, to_int = _fft_bench_setup(
-                    K, e, backend, _radix(args.r, K // 2), None, args.seed)
+                    K, e, backend, radii[K], None, args.seed)
                 v0 = make()
                 check = list(v0)
                 dft_general(check, plan, field)
@@ -392,12 +393,12 @@ def cmd_profile_mul(args, out=None):
     out = sys.stdout if out is None else out
     _pin_to_one_cpu()
     ks, trials = args.k_list, args.trials
+    radii = [_radix(args.r, k) for k in ks]  # raise before the header
     rng = random.Random(args.seed)
     writer = csv.writer(out, lineterminator="\n")
     steps = ["convolution", "carry"]
     writer.writerow(["k", "r"] + ["%s_pct" % s for s in steps])
-    for k in ks:
-        r = _radix(args.r, k)
+    for k, r in zip(ks, radii):
         params = GfpParams(r, k)
         crt = gfp_mult.crt_default()
         profile = {}

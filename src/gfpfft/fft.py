@@ -9,9 +9,10 @@ pass of K-point base cases, then per level a twiddle stage, a permutation,
 another base-case pass, and a closing permutation.  Base cases for
 K in {2, 4, ..., 64} are generated once by unrolling the radix-2 splitting
 of DFT_K into a flat list of dft2 / twiddle / swap steps, compiled as
-straight-line Python: per field over its add, sub and root-power multiply,
-and per word prime as lazily reduced negacyclic convolution kernels.  At
-e = 1 the transform is one base case.
+straight-line Python: per field over its add, sub and root-power multiply
+or, for a field with normalize, over digit lists with no carry until one
+normalize per output; and per word prime as lazily reduced negacyclic
+convolution kernels.  At e = 1 the transform is one base case.
 
 A field defines its element form, encode(int) -> element and
 decode(element) -> int, and its hot-path arithmetic: is_element, add, sub,
@@ -23,7 +24,9 @@ field once on native ints: pow, one, power_table and a plan's 1/N.
 power_table(omega, count) is the field's cached list of omega^t, t <
 count, each in the form its mul takes fastest; plans take their twiddle
 table from it.  build_plan calls root_power_mul_factory once, so a field
-whose multiplier only works for some roots rejects the others there.
+whose multiplier only works for some roots rejects the others there.  A
+field with normalize(v), such as GF(r^k + 1), may return unreduced values
+from that multiplier that its mul and normalize accept.
 dft_general and build_plan check their inputs once with is_element; the
 arithmetic underneath checks nothing.
 
@@ -33,7 +36,7 @@ exactly one caller-owned list.
 
 import time
 from functools import lru_cache
-from operator import mul
+from operator import add, mul, sub
 
 from .word_field import mont_convert_in, mont_convert_out, mont_mul
 
@@ -177,7 +180,7 @@ def _generate(name, args, K, unpack, prologue, dft2_line, tw_line, epilogue):
             names[i], names[j] = b, a
     body.append(epilogue(names))
     source = "def %s(%s):\n    %s\n" % (name, args, "\n    ".join(body))
-    scope = {"mul": mul}
+    scope = {"add": add, "mul": mul, "sub": sub}
     exec(compile(source, "<%s K=%d>" % (name, K), "exec"), scope)
     scope[name].source = source
     return scope[name]
@@ -191,6 +194,18 @@ def _field_base(K):
                      "{a}, {b} = add({a}, {b}), sub({a}, {b})",
                      lambda a, t: "%s = mul_pow(%s, %d)" % (a, a, t),
                      lambda out: "v[off:off + %d] = %s" % (K, ", ".join(out)))
+
+
+@lru_cache(maxsize=None)
+def _lazy_base(K):
+    # base(v, off, mul_pow, norm): DFT_K on v[off:off+K] over signed digit
+    # lists, digit-wise butterflies with no carry and norm once per output
+    return _generate("base", "v, off, mul_pow, norm", K,
+                     "v[off:off + %d]" % K, [],
+                     "{a}, {b} = [*map(add, {a}, {b})], [*map(sub, {a}, {b})]",
+                     lambda a, t: "%s = mul_pow(%s, %d)" % (a, a, t),
+                     lambda out: "v[off:off + %d] = %s" % (
+                         K, ", ".join("norm(%s)" % a for a in out)))
 
 
 def convolution_kernels(q, k, theta):
@@ -279,10 +294,13 @@ def build_plan(field, K, e, omega):
 
 def _base_pass(v, plan, field, mul_base):
     K = plan.K
-    base = _field_base(K)
-    add, sub = field.add, field.sub
+    norm = getattr(field, "normalize", None)
+    if norm is None:
+        base, ops = _field_base(K), (field.add, field.sub, mul_base)
+    else:
+        base, ops = _lazy_base(K), (mul_base, norm)
     for j in range(0, plan.N, K):
-        base(v, j, add, sub, mul_base)
+        base(v, j, *ops)
 
 
 def lap(profile, phase, t0):

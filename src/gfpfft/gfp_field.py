@@ -6,18 +6,24 @@ the coefficient of r^i.  Two canonical shapes exist:
   form A: every digit in [0, r), covering the values 0 .. p-2;
   form B: top digit equal to r, all others zero, the unique encoding of p-1.
 
-Addition, subtraction, and multiplication by powers of r run in O(k) digit
-operations with conditional-subtract carries.  No operation divides.
+Addition and subtraction run in O(k) digit operations with
+conditional-subtract carries.  Multiplication by a power of r is
+shift_digits, a rotation with no carry that negates the digits passing
+r^k = -1 and returns a signed digit list; normalize_digits maps any
+signed digit list to its canonical element, so a run of additions and
+rotations, such as a transform's base case, carries once at its end.
 
 is_canonical defines a valid element.  Every public operation checks each
 operand with it once and raises ValueError; the digit loops underneath,
-add_digits, sub_digits and rotate_digits, trust their input.
+add_digits, sub_digits, shift_digits and normalize_digits, trust their
+input.
 
 GfpParams is immutable and shareable; all operations are pure and return
-fresh tuples.
+fresh tuples, or lists from shift_digits.
 """
 
 from dataclasses import dataclass
+from operator import neg
 
 from .word_field import find_nth_root
 
@@ -36,13 +42,17 @@ class GfpParams:
 
     Digit arithmetic is well defined for any such p; field semantics such
     as inverses and roots of unity need p prime (the oracle module can
-    check).  k above MAX_K raises ConfigurationError before p is computed.
+    check).  r and k must have type int, so a float or a bool raises
+    ValueError; k above MAX_K raises ConfigurationError before p is
+    computed.
     """
 
     r: int
     k: int
 
     def __post_init__(self):
+        if type(self.r) is not int or type(self.k) is not int:
+            raise ValueError("r and k must be ints")
         if self.k < 1 or self.k & (self.k - 1):
             raise ValueError("k must be a power of two")
         if self.k > MAX_K:
@@ -51,10 +61,6 @@ class GfpParams:
         if not 2 <= self.r < (1 << 64):
             raise ValueError("r must fit in a 64-bit word and be at least 2")
         object.__setattr__(self, "p", self.r ** self.k + 1)
-
-
-def gfp_zero(params):
-    return (0,) * params.k
 
 
 def gfp_one(params):
@@ -180,30 +186,27 @@ def gfp_mul_pow_r(params, x, i):
     check_canonical(params, x)
     if not 0 <= i <= 2 * params.k:
         raise ValueError("shift exponent out of range")
-    return rotate_digits(params, tuple(x), i)
+    return normalize_digits(params, shift_digits(params, x, i))
 
 
-def rotate_digits(params, x, i):
-    """gfp_mul_pow_r without the checks, for a canonical x and any i >= 0.
+def shift_digits(params, x, t):
+    """x * r^t, 0 <= t <= 2k, as a signed digit list with no carry.
 
-    One digit rotation and one subtraction: using r^k = -1, the digit sum
-    of x * r^j, 0 < j < k, splits at r^k into a low part B and a wrapped
-    part A, so x * r^j = B - A and x * r^(k+j) = A - B.  Linear in k.
+    In Z[r]/(r^k + 1) the digits pushed past r^k come back negated at the
+    bottom, and past r^2k = 1 positive again, so each output digit is a
+    digit of x or its negative.  The value is x * r^t mod p; only
+    normalize_digits makes it canonical.
     """
-    r, k = params.r, params.k
-    i %= 2 * k
-    if i == 0:
-        return tuple(x)
-    if i == k:
-        return sub_digits(params, (0,) * k, x)
-    j = i - k if i > k else i
-    b = (0,) * j + x[: k - j]
-    a = list(x[k - j:]) + [0] * (k - j)
-    if x[k - 1] == r:
-        # form B: the digit r would land in a[j-1]; carry it one slot up
-        a[j - 1] -= r
-        a[j] += 1
-    return sub_digits(params, a, b) if i > k else sub_digits(params, b, a)
+    k = params.k
+    if t < k:
+        return [*map(neg, x[k - t:]), *x[:k - t]]
+    t -= k
+    return [*x[k - t:], *map(neg, x[:k - t])]
+
+
+def normalize_digits(params, v):
+    """The canonical element of sum(v[i] * r^i) mod p, for any int digits."""
+    return gfp_encode(params, digits_value(params, v))
 
 
 def gfp_primitive_root(params, N, g):

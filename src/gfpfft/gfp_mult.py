@@ -45,7 +45,8 @@ from .fft import (BASE_SIZES, IntModField, build_plan, convolution_kernels,
 # because perfbench/spans.py traces the add/sub layer through them
 from .gfp_field import (ConfigurationError, add_digits, check_canonical,
                         digits_value, gfp_add, gfp_encode, gfp_mul_pow_r,
-                        gfp_sub, is_canonical, rotate_digits, sub_digits)
+                        gfp_sub, is_canonical, normalize_digits,
+                        shift_digits, sub_digits)
 from .word_field import P1, P2, P3, find_nth_root, word_prime
 
 
@@ -361,10 +362,13 @@ class GfpFftField(IntModField):
 
     Elements are canonical digit tuples: encode is gfp_encode and decode
     digits_value.  mul dispatches to the FFT pipeline or the bigint
-    reference according to backend; add, sub, mul and shift(x, i) = x * r^i
-    run unchecked.  The power tables of IntModField hold FftOperands on the
-    fft backend.  root_power_mul_factory multiplies by powers of r or 1/r
-    with a cyclic digit rotation and rejects any other base root or size.
+    reference according to backend; add, sub and mul run unchecked.
+    shift(x, t) = x * r^t is the carry-free ring rotation, a signed digit
+    list with |digit| <= r for canonical x, which mul takes as is;
+    normalize(v) is the canonical element of a signed digit list, called
+    once per base-case output.  The power tables of IntModField hold
+    FftOperands on the fft backend.  root_power_mul_factory multiplies by
+    powers of r or 1/r with shift and rejects any other base root or size.
     """
 
     def __init__(self, params, crt=None, backend="fft"):
@@ -384,7 +388,8 @@ class GfpFftField(IntModField):
         self.sub = partial(sub_digits, params)
         self.mul = (partial(_mul_fft, params, crt) if backend == "fft"
                     else partial(_mul_bigint, params))
-        self.shift = partial(rotate_digits, params)
+        self.shift = partial(shift_digits, params)
+        self.normalize = partial(normalize_digits, params)
         self.shift_root = self.encode(params.r)
         # r^(2k-1) = 1/r, the root inverse transforms align with
         self.shift_root_inv = gfp_mul_pow_r(params, self.one(), 2 * params.k - 1)
@@ -395,10 +400,10 @@ class GfpFftField(IntModField):
         return a
 
     def root_power_mul_factory(self, omega, count):
-        """x, t -> x * omega^t as a digit rotation, t < count.
+        """x, t -> x * omega^t as a carry-free shift, t < count.
 
         The base case of a transform over GF(r^k + 1): count must be 2k
-        and omega r or 1/r, else ValueError.
+        and omega r or 1/r, else ValueError.  Results are not canonical.
         """
         two_k = 2 * self.params.k
         if count != two_k:

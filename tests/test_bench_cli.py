@@ -250,3 +250,19 @@ def test_main_reports_value_errors(argv, message, capsys):
         rc = exc.code
     assert rc == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench-mul", "--k", "8,4", "--trials", "2"],
+    ["profile-mul", "--k", "8,4", "--trials", "2"],
+    ["bench-fft", "--K", "16,4", "--trials", "1"],
+], ids=["bench-mul", "profile-mul", "bench-fft"])
+def test_missing_radix_writes_no_header(argv, tmp_path, capsys):
+    # every radix is looked up before the CSV header, so a k without a
+    # default leaves the output empty instead of a header-only file
+    out = tmp_path / "f.csv"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert out.read_text() == ""
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "error: no default radix" in captured.err

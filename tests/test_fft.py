@@ -178,6 +178,17 @@ def test_field_base_case_is_straight_line(K):
 
 
 @pytest.mark.parametrize("K", BASE_SIZES)
+def test_lazy_base_case_is_straight_line(K):
+    # the digit-list template: butterflies are comprehension-free list
+    # displays over map, and the only calls per output are shifts and norm
+    source = fft._lazy_base(K).source
+    tree = ast.parse(source)
+    assert not [n for n in ast.walk(tree)
+                if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    assert source.count("norm(") == K
+
+
+@pytest.mark.parametrize("K", BASE_SIZES)
 def test_field_base_case_montgomery_every_size(K):
     # the compiled base case calls the field's own add, sub and mul
     ctx = word_prime(P1)

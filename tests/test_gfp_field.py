@@ -9,7 +9,7 @@ from gfpfft import gfp_mult
 from gfpfft.gfp_field import (
     MAX_K, ConfigurationError, GfpParams, gfp_add, gfp_decode, gfp_encode,
     gfp_find_nth_root, gfp_mul_pow_r, gfp_one, gfp_primitive_root, gfp_sub,
-    gfp_zero, is_canonical,
+    is_canonical, normalize_digits, shift_digits,
 )
 from gfpfft.gfp_mult import FftOperand, crt_default, gfp_mul_bigint, gfp_mul_fft
 
@@ -46,6 +46,15 @@ def test_params_validation():
     assert p.p == 10 ** 4 + 1
 
 
+@pytest.mark.parametrize("r,k", [(2.5, 4), (10.0, 4), (3, True), (True, 1),
+                                 (10, 4.0), ("10", 4), (10, None)])
+def test_params_reject_non_int(r, k):
+    # a float radix made p a float and the digits floats; True passed the
+    # power-of-two check as k = 1
+    with pytest.raises(ValueError, match="ints"):
+        GfpParams(r, k)
+
+
 def test_params_max_k():
     # the limit is checked before r^k is built, so these allocate nothing
     assert gfp_mult.ConfigurationError is ConfigurationError
@@ -58,9 +67,8 @@ def test_params_max_k():
 
 def test_zero_one_shapes():
     params = GfpParams(10, 4)
-    assert gfp_zero(params) == (0, 0, 0, 0)
     assert gfp_one(params) == (1, 0, 0, 0)
-    assert gfp_decode(params, gfp_zero(params)) == 0
+    assert gfp_decode(params, (0,) * 4) == 0
     assert gfp_decode(params, gfp_one(params)) == 1
 
 
@@ -73,7 +81,7 @@ def test_encode_decode_bijection(k, r):
         assert is_canonical(params, x)
         assert gfp_decode(params, x) == n
     # wrapping and negatives reduce mod p first
-    assert gfp_encode(params, params.p) == gfp_zero(params)
+    assert gfp_encode(params, params.p) == (0,) * k
     assert gfp_encode(params, -1) == (0,) * (k - 1) + (r,)
     assert gfp_encode(params, params.p - 1) == (0,) * (k - 1) + (r,)
 
@@ -115,13 +123,13 @@ def test_sub_rejects_noncanonical_digit():
     # survives without one
     params = GfpParams(10, 4)
     with pytest.raises(ValueError):
-        gfp_sub(params, gfp_zero(params), (15, 0, 0, 0))
+        gfp_sub(params, (0,) * 4, (15, 0, 0, 0))
     with pytest.raises(ValueError):
-        gfp_sub(params, (25, 0, 0, 0), gfp_zero(params))
+        gfp_sub(params, (25, 0, 0, 0), (0,) * 4)
     with pytest.raises(ValueError):
-        gfp_sub(params, (5, 0, 0, 10), gfp_zero(params))
+        gfp_sub(params, (5, 0, 0, 10), (0,) * 4)
     minus_one = gfp_encode(params, params.p - 1)
-    assert gfp_sub(params, minus_one, gfp_zero(params)) == minus_one
+    assert gfp_sub(params, minus_one, (0,) * 4) == minus_one
 
 
 def test_add_rejects_noncanonical_digit():
@@ -129,9 +137,9 @@ def test_add_rejects_noncanonical_digit():
     # top digit of (p-1) + (p-1) is the one place r may remain
     params = GfpParams(10, 4)
     with pytest.raises(ValueError):
-        gfp_add(params, (25, 0, 0, 0), gfp_zero(params))
+        gfp_add(params, (25, 0, 0, 0), (0,) * 4)
     with pytest.raises(ValueError):
-        gfp_add(params, gfp_zero(params), (0, 0, 0, 21))
+        gfp_add(params, (0,) * 4, (0, 0, 0, 21))
     minus_one = gfp_encode(params, params.p - 1)
     assert gfp_add(params, minus_one, minus_one) == gfp_encode(params, params.p - 2)
 
@@ -278,3 +286,47 @@ def test_find_nth_root_composite_modulus():
     # so the bounded search raises instead of looping
     with pytest.raises(ValueError):
         gfp_find_nth_root(GfpParams(8, 2), 4)
+
+
+# the ring rotation and the one carry: shift_digits and normalize_digits
+
+NORMALIZE_FIELDS = [(r, k) for k in (1, 2) for r in range(2, 7)] + [(2, 4), (3, 4)]
+
+
+@pytest.mark.parametrize("r,k", NORMALIZE_FIELDS)
+def test_normalize_exhaustive(r, k):
+    # every signed digit vector in [-4r, 4r]^k: the bound covers a K = 2k
+    # base case of up to two butterfly layers past a shift
+    params = GfpParams(r, k)
+    weights = [r ** i for i in range(k)]
+    for v in itertools.product(range(-4 * r, 4 * r + 1), repeat=k):
+        want = gfp_encode(params, sum(d * w for d, w in zip(v, weights)))
+        assert normalize_digits(params, list(v)) == want
+
+
+@pytest.mark.parametrize("r", [4, 5, 6])
+def test_normalize_edge_digits_k4(r):
+    # k = 4 with r > 3 has too many vectors in [-4r, 4r]^4; take the
+    # digits next to the carry thresholds and the range ends
+    params = GfpParams(r, 4)
+    p = params.p
+    edges = (-4 * r, -r - 1, -r, -r + 1, -1, 0, 1, r - 1, r, r + 1, 4 * r)
+    for v in itertools.product(edges, repeat=4):
+        got = normalize_digits(params, v)
+        assert is_canonical(params, got)
+        assert gfp_decode(params, got) == sum(d * r ** i for i, d in enumerate(v)) % p
+
+
+@pytest.mark.parametrize("k,r", ALL_CONFIGS)
+def test_shift_digits_is_the_ring_rotation(k, r):
+    # no carry: each digit is a digit of x or its negative, so |d| <= r
+    # even for form B, and normalizing gives gfp_mul_pow_r
+    params = GfpParams(r, k)
+    rng = random.Random(SEED ^ k)
+    for a in interesting_values(params, rng, 20):
+        x = gfp_encode(params, a)
+        for t in range(2 * k + 1):
+            v = shift_digits(params, x, t)
+            assert type(v) is list and len(v) == k
+            assert sorted(map(abs, v)) == sorted(x)
+            assert normalize_digits(params, v) == gfp_mul_pow_r(params, x, t)

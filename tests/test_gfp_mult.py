@@ -598,7 +598,17 @@ def test_field_adapter_uses_fewest_primes():
     assert GfpFftField(GfpParams(1 << 40, 8), crt=crt).crt.primes == (P1, 257, P2)
 
 
+def _specials(params, rng, count):
+    # 0, 1, r, p - 2, form-B p - 1 and random elements
+    p = params.p
+    vals = [0, 1, params.r % p, p - 2, p - 1]
+    return [gfp_encode(params, a)
+            for a in vals + [rng.randrange(p) for _ in range(count)]]
+
+
 def test_field_adapter_scalar_helpers():
+    # shift is the carry-free rotation: signed digits of size at most r,
+    # made canonical by normalize, for every t <= 2k
     k, r = TABLE3[0]
     params = GfpParams(r, k)
     field = GfpFftField(params, backend="bigint")
@@ -606,7 +616,12 @@ def test_field_adapter_scalar_helpers():
     a = rng.randrange(params.p)
     x = gfp_encode(params, a)
     assert to_int(params, field.pow(x, 5)) == pow(a, 5, params.p)
-    assert field.shift(x, 3) == gfp_mul_pow_r(params, x, 3)
+    for x in _specials(params, rng, 10):
+        for t in range(2 * k + 1):
+            v = field.shift(x, t)
+            assert all(abs(d) <= r for d in v)
+            assert field.normalize(v) == gfp_mul_pow_r(params, x, t)
+    assert field.normalize([-1] + [0] * (k - 1)) == gfp_encode(params, params.p - 1)
     assert field.sub(field.encode(0), field.one()) == gfp_encode(params, params.p - 1)
 
 
@@ -615,20 +630,42 @@ def test_field_adapter_mul_pow_factories():
     params = GfpParams(r, k)
     field = GfpFftField(params, backend="bigint")
     rng = random.Random(SEED)
-    x = gfp_encode(params, rng.randrange(params.p))
-
     rot = field.root_power_mul_factory(field.shift_root, 2 * k)
-    for t in range(2 * k):
-        assert rot(x, t) == gfp_mul_pow_r(params, x, t)
-
     rot_inv = field.root_power_mul_factory(field.shift_root_inv, 2 * k)
     r_inv = pow(r, -1, params.p)
-    for t in range(2 * k):
-        want = to_int(params, x) * pow(r_inv, t, params.p) % params.p
-        assert to_int(params, rot_inv(x, t)) == want
+    for x in _specials(params, rng, 10):
+        for t in range(2 * k):
+            for v in (rot(x, t), rot_inv(x, t)):
+                assert all(abs(d) <= r for d in v)
+            assert field.normalize(rot(x, t)) == gfp_mul_pow_r(params, x, t)
+            want = to_int(params, x) * pow(r_inv, t, params.p) % params.p
+            assert field.normalize(rot_inv(x, t)) == gfp_encode(params, want)
 
     # only the base case of a GF(r^k + 1) transform: 2k powers of r or 1/r
     with pytest.raises(ValueError):
         field.root_power_mul_factory(gfp_encode(params, 3), 2 * k)
     with pytest.raises(ValueError):
         field.root_power_mul_factory(field.shift_root, k)
+
+
+@pytest.mark.parametrize("k,r", [TABLE3[0], (8, (1 << 63) + (1 << 34)),
+                                 (1, (1 << 59) + (1 << 16)), (1, 6), (8, 2),
+                                 (4, 3), (2, 6)])
+@pytest.mark.parametrize("backend", ["fft", "bigint"])
+def test_field_mul_takes_shifted_operand(k, r, backend):
+    # the twiddle stage hands mul a shift's signed digits; the product
+    # is canonical, and on fft the coefficients stay within k*r^2 (three
+    # primes at (8, 2^63 + 2^34))
+    params = GfpParams(r, k)
+    field = GfpFftField(params, backend=backend)
+    p = params.p
+    rng = random.Random(SEED ^ k ^ r)
+    xs = _specials(params, rng, 4)
+    ys = xs[:6] + [FftOperand(params, crt_default(), y) for y in xs[3:6]]
+    for x in xs:
+        for t in range(2 * k + 1):
+            v = field.shift(x, t)
+            xv = to_int(params, x) * pow(r, t, p)
+            for y in ys:
+                want = gfp_encode(params, xv * to_int(params, y))
+                assert field.mul(v, y) == want

@@ -90,6 +90,35 @@ def test_base_root_rotations_go_through_field_shift():
     assert len(calls) == 724
 
 
+@pytest.mark.parametrize("backend", ["fft", "bigint"])
+def test_gfp_base_cases_carry_only_in_normalize(backend):
+    # the base cases add digit lists directly: no field.add or field.sub
+    # call in a K=16, e=2 transform, and still every rotation through
+    # field.shift and one normalize per base-case output
+    params = GfpParams((1 << 59) + (1 << 16), 8)
+    N = 256
+    omega = gfp_primitive_root(params, N, gfp_find_nth_root(params, N, seed=0))
+    field = gfp_mult.GfpFftField(params, backend=backend)
+    plan = build_plan(field, 16, 2, omega)
+    calls = {"add": 0, "sub": 0, "shift": 0, "normalize": 0}
+
+    def counting(name):
+        plain = getattr(field, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return plain(*args)
+
+        return wrapper
+
+    for name in calls:
+        setattr(field, name, counting(name))
+    v = [gfp_encode(params, 3 * i + 1) for i in range(N)]
+    dft_general(v, plan, field)
+    assert calls == {"add": 0, "sub": 0, "shift": 724, "normalize": 2 * N}
+    assert all(type(x) is tuple for x in v)
+
+
 def test_benchmark_selftest_passes():
     # a metric set or multiply/shift reconcile broken by a library change
     # shows only when the benchmark itself runs
