@@ -18,6 +18,7 @@ k, u64 r, u64 count, then count*k little-endian digit words.
 
 import argparse
 import csv
+import io
 import os
 import random
 import statistics
@@ -471,30 +472,25 @@ def build_parser():
 
 def main(argv=None):
     args = build_parser().parse_args(argv)
-    out = sys.stdout
-    opened = None
-    if args.out and args.command != "verify":
-        opened = open(args.out, "w", newline="")
-        out = opened
+    command = {"verify": cmd_verify, "bench-mul": cmd_bench_mul,
+               "bench-fft": cmd_bench_fft,
+               "profile-mul": cmd_profile_mul}[args.command]
+    # a table is held until its command succeeds, so a failing command
+    # leaves an existing --out file as it was
+    buffered = args.out and args.command != "verify"
+    out = io.StringIO() if buffered else sys.stdout
     try:
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "bench-mul":
-            return cmd_bench_mul(args, out)
-        if args.command == "bench-fft":
-            return cmd_bench_fft(args, out)
-        if args.command == "profile-mul":
-            return cmd_profile_mul(args, out)
-        raise AssertionError("unreachable")
+        status = command(args, out)
     except gfp_mult.ConfigurationError as exc:
         print("configuration error: %s" % exc, file=sys.stderr)
         return 2
     except ValueError as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 2
-    finally:
-        if opened:
-            opened.close()
+    if buffered:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(out.getvalue())
+    return status
 
 
 if __name__ == "__main__":

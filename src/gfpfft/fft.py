@@ -9,16 +9,17 @@ pass of K-point base cases, then per level a twiddle stage, a permutation,
 another base-case pass, and a closing permutation.  Base cases for
 K in {2, 4, ..., 64} are generated once by unrolling the radix-2 splitting
 of DFT_K into a flat list of dft2 / twiddle / swap steps, compiled as
-straight-line Python: per field over its add, sub and root-power multiply
-or, for a field with normalize, over digit lists with no carry until one
-normalize per output; and per word prime as lazily reduced negacyclic
-convolution kernels.  At e = 1 the transform is one base case.
+straight-line Python: over a word modulus q, the field base cases and the
+negacyclic convolution kernels share one lazily reduced template
+(unreduced butterflies, root powers inlined as constants, one % q per
+output); a field with normalize runs over digit lists with no carry until
+one normalize per output.  At e = 1 the transform is one base case.
 
 A field defines its element form, encode(int) -> element and
-decode(element) -> int, and its hot-path arithmetic: is_element, add, sub,
-mul and root_power_mul_factory(omega, count), the closure x, t ->
-x*omega^t that the base cases and every twiddle stage use for powers of
-the base root.  IntModField below defines both for plain residues mod a
+decode(element) -> int, and its hot-path arithmetic: is_element, mul and
+root_power_mul_factory(omega, count), the closure x, t -> x*omega^t that
+the digit-list base cases and every twiddle stage use for powers of the
+base root.  IntModField below defines both for plain residues mod a
 prime and, through encode and decode, does the plan-time math of every
 field once on native ints: pow, one, power_table and a plan's 1/N.
 power_table(omega, count) is the field's cached list of omega^t, t <
@@ -38,9 +39,14 @@ import time
 from functools import lru_cache
 from operator import add, mul, sub
 
+from .gfp_field import ConfigurationError
 from .word_field import mont_convert_in, mont_convert_out, mont_mul
 
 BASE_SIZES = (2, 4, 8, 16, 32, 64)
+
+# the largest K^e build_plan accepts; ConvolutionPlan runs a length-k
+# convolution, k up to gfp_field.MAX_K, as one transform of size k
+MAX_N = 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -186,14 +192,24 @@ def _generate(name, args, K, unpack, prologue, dft2_line, tw_line, epilogue):
     return scope[name]
 
 
-@lru_cache(maxsize=None)
-def _field_base(K):
-    # base(v, off, add, sub, mul_pow): DFT_K on v[off:off+K] by field ops
-    return _generate("base", "v, off, add, sub, mul_pow", K,
-                     "v[off:off + %d]" % K, [],
-                     "{a}, {b} = add({a}, {b}), sub({a}, {b})",
-                     lambda a, t: "%s = mul_pow(%s, %d)" % (a, a, t),
-                     lambda out: "v[off:off + %d] = %s" % (K, ", ".join(out)))
+# the lazily reduced int templates: butterflies leave their sums and
+# differences unreduced, and a twiddle by root^t inlines the constant
+_BUTTERFLY = "{a}, {b} = {a} + {b}, {a} - {b}"
+
+
+def _twiddle(root, q):
+    return lambda a, t: "%s = %s * %d %% %d" % (a, a, pow(root, t, q), q)
+
+
+@lru_cache(maxsize=128)  # bounded: q and omega come from the caller
+def _int_base(q, K, omega):
+    # base(v, off): DFT_K on v[off:off+K] mod q at the plain root omega,
+    # one % q per output; a DFT is linear, so on Montgomery residues it
+    # returns the Montgomery form of the result
+    return _generate("base", "v, off", K, "v[off:off + %d]" % K, [],
+                     _BUTTERFLY, _twiddle(omega, q),
+                     lambda out: "v[off:off + %d] = %s" % (
+                         K, ", ".join("%s %% %d" % (a, q) for a in out)))
 
 
 @lru_cache(maxsize=None)
@@ -220,18 +236,13 @@ def convolution_kernels(q, k, theta):
     """
     omega = theta * theta % q
     scale = [pow(theta, -i, q) * pow(k, -1, q) % q for i in range(k)]
-    butterfly = "{a}, {b} = {a} + {b}, {a} - {b}"
-
-    def twiddle(root):
-        return lambda a, t: "%s = %s * %d %% %d" % (a, a, pow(root, t, q), q)
-
     fwd = _generate("fwd", "x", k, "x",
                     ["a%d *= %d" % (i, pow(theta, i, q)) for i in range(1, k)],
-                    butterfly, twiddle(omega),
+                    _BUTTERFLY, _twiddle(omega, q),
                     lambda out: "return (%s,)" % ", ".join(
                         "%s %% %d" % (a, q) for a in out))
     inv = _generate("inv", "x, y", k, "map(mul, x, y)", [],
-                    butterfly, twiddle(pow(omega, -1, q)),
+                    _BUTTERFLY, _twiddle(pow(omega, -1, q), q),
                     lambda out: "return (%s,)" % ", ".join(
                         "%s * %d %% %d" % (a, c, q) for a, c in zip(out, scale)))
     return fwd, inv
@@ -275,12 +286,16 @@ def build_plan(field, K, e, omega):
     omega must be a field element with omega^N = 1, omega^(N/2) = -1, and
     the field's root_power_mul_factory must accept the base root
     omega^(N/K) with count K; GfpFftField raises there unless K = 2k and
-    the base root is r or 1/r.
+    the base root is r or 1/r.  K^e above MAX_N raises ConfigurationError
+    before K^e is computed.
     """
     if K not in BASE_SIZES:
         raise ValueError("unsupported base-case size")
     if e < 1:
         raise ValueError("e must be at least 1")
+    if e * (K.bit_length() - 1) > MAX_N.bit_length() - 1:
+        raise ConfigurationError("K^e = %d^%d exceeds MAX_N = %d"
+                                 % (K, e, MAX_N))
     if not field.is_element(omega):
         raise ValueError("omega is not an element of the field")
     N, p = K ** e, field.p
@@ -296,7 +311,7 @@ def _base_pass(v, plan, field, mul_base):
     K = plan.K
     norm = getattr(field, "normalize", None)
     if norm is None:
-        base, ops = _field_base(K), (field.add, field.sub, mul_base)
+        base, ops = _int_base(field.p, K, field.decode(plan.omega_base)), ()
     else:
         base, ops = _lazy_base(K), (mul_base, norm)
     for j in range(0, plan.N, K):
@@ -377,10 +392,10 @@ class IntModField:
     """Field view of Z/pZ on plain residues in [0, p) for the DFT machinery.
 
     The base of the other fields, which define only their element form,
-    encode and decode, and their hot-path arithmetic: is_element, add,
-    sub, mul and root_power_mul_factory.  pow, one and power_table are
-    written once here on native ints, and the _prepared hook puts a table
-    entry in the form mul takes fastest as its right operand.
+    encode and decode, and their hot-path arithmetic: is_element, mul and
+    root_power_mul_factory.  pow, one and power_table are written once
+    here on native ints, and the _prepared hook puts a table entry in the
+    form mul takes fastest as its right operand.
     """
 
     def __init__(self, p):
@@ -395,15 +410,6 @@ class IntModField:
 
     def is_element(self, a):
         return type(a) is int and 0 <= a < self.p
-
-    def add(self, a, b):
-        c = a + b
-        p = self.p
-        return c - p if c >= p else c
-
-    def sub(self, a, b):
-        c = a - b
-        return c + self.p if c < 0 else c
 
     def mul(self, a, b):
         return a * b % self.p

@@ -63,10 +63,6 @@ class GfpParams:
         object.__setattr__(self, "p", self.r ** self.k + 1)
 
 
-def gfp_one(params):
-    return (1,) + (0,) * (params.k - 1)
-
-
 def is_canonical(params, x):
     """True iff x is k digits of type int in form A or form B."""
     if len(x) != params.k or not {int}.issuperset(map(type, x)):

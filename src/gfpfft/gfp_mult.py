@@ -361,14 +361,15 @@ class GfpFftField(IntModField):
     """Digit-vector field view used by dft_general over GF(r^k + 1).
 
     Elements are canonical digit tuples: encode is gfp_encode and decode
-    digits_value.  mul dispatches to the FFT pipeline or the bigint
-    reference according to backend; add, sub and mul run unchecked.
-    shift(x, t) = x * r^t is the carry-free ring rotation, a signed digit
-    list with |digit| <= r for canonical x, which mul takes as is;
-    normalize(v) is the canonical element of a signed digit list, called
-    once per base-case output.  The power tables of IntModField hold
-    FftOperands on the fft backend.  root_power_mul_factory multiplies by
-    powers of r or 1/r with shift and rejects any other base root or size.
+    digits_value.  mul dispatches, unchecked, to the FFT pipeline or the
+    bigint reference according to backend.  The base cases add and
+    subtract digit lists themselves; shift(x, t) = x * r^t is the
+    carry-free ring rotation, a signed digit list with |digit| <= r for
+    canonical x, which mul takes as is; normalize(v) is the canonical
+    element of a signed digit list, called once per base-case output.
+    The power tables of IntModField hold FftOperands on the fft backend.
+    root_power_mul_factory multiplies by powers of r or 1/r with shift and
+    rejects any other base root or size.
     """
 
     def __init__(self, params, crt=None, backend="fft"):
@@ -384,8 +385,6 @@ class GfpFftField(IntModField):
         self.decode = partial(digits_value, params)
         # unchecked cores: the field's own elements are canonical
         self.is_element = partial(is_canonical, params)
-        self.add = partial(add_digits, params)
-        self.sub = partial(sub_digits, params)
         self.mul = (partial(_mul_fft, params, crt) if backend == "fft"
                     else partial(_mul_bigint, params))
         self.shift = partial(shift_digits, params)

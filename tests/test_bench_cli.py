@@ -259,10 +259,22 @@ def test_main_reports_value_errors(argv, message, capsys):
 ], ids=["bench-mul", "profile-mul", "bench-fft"])
 def test_missing_radix_writes_no_header(argv, tmp_path, capsys):
     # every radix is looked up before the CSV header, so a k without a
-    # default leaves the output empty instead of a header-only file
+    # default prints nothing instead of a header, and writes no file
     out = tmp_path / "f.csv"
     assert main(argv + ["--out", str(out)]) == 2
-    assert out.read_text() == ""
+    assert not out.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "error: no default radix" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bench-mul", "--k", "4"],
+    ["profile-mul", "--k", "8", "--r", "2^x"],
+    ["bench-fft", "--K", "16", "--r", "6"],
+], ids=["no-default-radix", "bad-radix", "not-prime"])
+def test_failing_command_keeps_existing_out_file(argv, tmp_path):
+    out = tmp_path / "keep.csv"
+    out.write_text("kept line\n")
+    assert main(argv + ["--out", str(out)]) == 2
+    assert out.read_text() == "kept line\n"

@@ -8,7 +8,7 @@ import pytest
 from gfpfft import gfp_mult
 from gfpfft.gfp_field import (
     MAX_K, ConfigurationError, GfpParams, gfp_add, gfp_decode, gfp_encode,
-    gfp_find_nth_root, gfp_mul_pow_r, gfp_one, gfp_primitive_root, gfp_sub,
+    gfp_find_nth_root, gfp_mul_pow_r, gfp_primitive_root, gfp_sub,
     is_canonical, normalize_digits, shift_digits,
 )
 from gfpfft.gfp_mult import FftOperand, crt_default, gfp_mul_bigint, gfp_mul_fft
@@ -67,9 +67,9 @@ def test_params_max_k():
 
 def test_zero_one_shapes():
     params = GfpParams(10, 4)
-    assert gfp_one(params) == (1, 0, 0, 0)
+    assert gfp_encode(params, 1) == (1, 0, 0, 0)
     assert gfp_decode(params, (0,) * 4) == 0
-    assert gfp_decode(params, gfp_one(params)) == 1
+    assert gfp_decode(params, (1, 0, 0, 0)) == 1
 
 
 @pytest.mark.parametrize("k,r", ALL_CONFIGS)
@@ -260,14 +260,14 @@ def test_primitive_root_n_equals_2k():
 def test_primitive_root_rejects():
     params = GfpParams((1 << 59) + (1 << 16), 8)
     with pytest.raises(ValueError):
-        gfp_primitive_root(params, 32, gfp_one(params))  # order 1, never hits r
+        gfp_primitive_root(params, 32, gfp_encode(params, 1))  # order 1, never hits r
     with pytest.raises(ValueError):
-        gfp_primitive_root(params, 8, gfp_one(params))   # 8 is not a multiple of 2k
+        gfp_primitive_root(params, 8, gfp_encode(params, 1))   # 8 is not a multiple of 2k
 
 
 def test_find_nth_root_trivial_orders():
     params = GfpParams((1 << 59) + (1 << 16), 8)
-    assert gfp_find_nth_root(params, 1) == gfp_one(params)
+    assert gfp_find_nth_root(params, 1) == gfp_encode(params, 1)
     assert gfp_find_nth_root(params, 2) == gfp_encode(params, params.p - 1)
 
 

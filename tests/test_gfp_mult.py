@@ -11,8 +11,7 @@ import pytest
 
 from gfpfft.fft import BASE_SIZES
 from gfpfft.gfp_field import (
-    GfpParams, gfp_add, gfp_decode, gfp_encode, gfp_mul_pow_r, gfp_one,
-    gfp_sub,
+    GfpParams, gfp_add, gfp_decode, gfp_encode, gfp_mul_pow_r, gfp_sub,
 )
 from gfpfft.gfp_mult import (
     ConfigurationError, CrtParams, FftOperand, GfpFftField, _nega_plan,
@@ -250,7 +249,7 @@ def test_mul_identities(k, r):
     params = GfpParams(r, k)
     crt = crt_default()
     rng = random.Random(SEED ^ k)
-    one = gfp_one(params)
+    one = gfp_encode(params, 1)
     minus_one = gfp_encode(params, params.p - 1)
     x = gfp_encode(params, rng.randrange(params.p))
     assert gfp_mul_fft(params, crt, x, one) == x
@@ -481,8 +480,8 @@ def test_mul_reassembly_carry_cases(k, r):
         assert to_int(params, u) == a * b % params.p
     assert seen == ({-1, 0} if k == 1 else {-1, 0, 1})
     minus_one = gfp_encode(params, params.p - 1)
-    assert gfp_mul_fft(params, crt, minus_one, gfp_one(params)) == minus_one
-    assert gfp_mul_fft(params, crt, gfp_one(params), minus_one) == minus_one
+    assert gfp_mul_fft(params, crt, minus_one, gfp_encode(params, 1)) == minus_one
+    assert gfp_mul_fft(params, crt, gfp_encode(params, 1), minus_one) == minus_one
     zero = gfp_encode(params, 0)
     assert gfp_mul_fft(params, crt, minus_one, zero) == zero
 
@@ -496,7 +495,7 @@ def test_mul_rejects_incompatible_configuration():
         assert not check_prime_compat(params, crt).passed
         rng = random.Random(SEED ^ r)
         minus_one = gfp_encode(params, params.p - 1)
-        assert gfp_mul_fft(params, crt, minus_one, minus_one) == gfp_one(params)
+        assert gfp_mul_fft(params, crt, minus_one, minus_one) == gfp_encode(params, 1)
         for _ in range(300):
             x = gfp_encode(params, rng.randrange(params.p))
             y = gfp_encode(params, rng.randrange(params.p))
@@ -517,7 +516,7 @@ def test_mul_single_digit_field_form_b():
     # k = 1: (p-1)^2 has the coefficient r^2, exactly the bound k*r^2
     params = GfpParams((1 << 59) + (1 << 16), 1)
     minus_one = gfp_encode(params, params.p - 1)
-    assert gfp_mul_fft(params, crt_default(), minus_one, minus_one) == gfp_one(params)
+    assert gfp_mul_fft(params, crt_default(), minus_one, minus_one) == gfp_encode(params, 1)
 
 
 def test_public_ops_reject_bad_elements():
@@ -549,7 +548,7 @@ def test_public_ops_reject_bad_elements():
         with pytest.raises(ValueError):
             op(good, (0, r, 0, 0))
     minus_one = gfp_encode(params, params.p - 1)
-    one = gfp_one(params)
+    one = gfp_encode(params, 1)
     assert gfp_mul_fft(params, crt, minus_one, minus_one) == one
     assert gfp_mul_bigint(params, minus_one, minus_one) == one
     assert gfp_add(params, minus_one, minus_one) == gfp_encode(params, params.p - 2)
@@ -622,7 +621,7 @@ def test_field_adapter_scalar_helpers():
             assert all(abs(d) <= r for d in v)
             assert field.normalize(v) == gfp_mul_pow_r(params, x, t)
     assert field.normalize([-1] + [0] * (k - 1)) == gfp_encode(params, params.p - 1)
-    assert field.sub(field.encode(0), field.one()) == gfp_encode(params, params.p - 1)
+    assert gfp_sub(params, field.encode(0), field.one()) == gfp_encode(params, params.p - 1)
 
 
 def test_field_adapter_mul_pow_factories():
