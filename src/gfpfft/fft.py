@@ -9,16 +9,16 @@ pass of K-point base cases, then per level a twiddle stage, a permutation,
 another base-case pass, and a closing permutation.  Base cases for
 K in {2, 4, ..., 64} are generated once by unrolling the radix-2 splitting
 of DFT_K into a flat list of dft2 / twiddle / swap steps, compiled as
-straight-line Python: over a word modulus q, the field base cases and the
-negacyclic convolution kernels share one lazily reduced template
-(unreduced butterflies, root powers inlined as constants, one % q per
-output); a field with normalize runs over digit lists with no carry until
-one normalize per output.  At e = 1 the transform is one base case.
+straight-line Python with unreduced butterflies: over a word modulus q,
+the field base cases and the negacyclic convolution kernels inline root
+powers as constants and reduce once per output (% q); a field with
+normalize runs its multiplier by powers of the base root per rotation
+and one normalize per output.  At e = 1 the transform is one base case.
 
 A field defines its element form, encode(int) -> element and
 decode(element) -> int, and its hot-path arithmetic: is_element, mul and
 root_power_mul_factory(omega, count), the closure x, t -> x*omega^t that
-the digit-list base cases and every twiddle stage use for powers of the
+the normalize base cases and every twiddle stage use for powers of the
 base root.  IntModField below defines both for plain residues mod a
 prime and, through encode and decode, does the plan-time math of every
 field once on native ints: pow, one, power_table and a plan's 1/N.
@@ -26,8 +26,10 @@ power_table(omega, count) is the field's cached list of omega^t, t <
 count, each in the form its mul takes fastest; plans take their twiddle
 table from it.  build_plan calls root_power_mul_factory once, so a field
 whose multiplier only works for some roots rejects the others there.  A
-field with normalize(v), such as GF(r^k + 1), may return unreduced values
-from that multiplier that its mul and normalize accept.
+field with normalize, such as GF(r^k + 1) on digit tuples, is
+transformed on residues mod p: dft_general and dft_inverse decode each
+element once on entry and encode each value once on exit, and its mul,
+multiplier and normalize take and return residues in between.
 dft_general and build_plan check their inputs once with is_element; the
 arithmetic underneath checks nothing.
 
@@ -37,7 +39,7 @@ exactly one caller-owned list.
 
 import time
 from functools import lru_cache
-from operator import add, mul, sub
+from operator import mul
 
 from .gfp_field import ConfigurationError
 from .word_field import mont_convert_in, mont_convert_out, mont_mul
@@ -81,12 +83,15 @@ def twiddle_apply(v, m, n, omega_i, field, offset=0):
 
     Exponents are never formed with a generic power: each block keeps a
     running row step omega_i^j and each lane multiplies the running factor
-    by it, so the stage costs O(m*n) multiplications.  A standalone
-    helper: dft_general does not call it.
+    by it, so the stage costs O(m*n) multiplications.  A field with
+    normalize multiplies into residues, and the lanes it changed are
+    encoded back into elements.  A standalone helper: dft_general does not
+    call it.
     """
     if m == 1:
         return v
     mul = field.mul
+    digits = hasattr(field, "normalize")
     row = omega_i
     for j in range(1, n):
         base = offset + j * m
@@ -95,6 +100,8 @@ def twiddle_apply(v, m, n, omega_i, field, offset=0):
         for i in range(2, m):
             w = mul(w, row)
             v[base + i] = mul(v[base + i], w)
+        if digits:
+            v[base + 1:base + m] = map(field.encode, v[base + 1:base + m])
         row = mul(row, omega_i)
     return v
 
@@ -186,7 +193,7 @@ def _generate(name, args, K, unpack, prologue, dft2_line, tw_line, epilogue):
             names[i], names[j] = b, a
     body.append(epilogue(names))
     source = "def %s(%s):\n    %s\n" % (name, args, "\n    ".join(body))
-    scope = {"add": add, "mul": mul, "sub": sub}
+    scope = {"mul": mul}
     exec(compile(source, "<%s K=%d>" % (name, K), "exec"), scope)
     scope[name].source = source
     return scope[name]
@@ -214,11 +221,11 @@ def _int_base(q, K, omega):
 
 @lru_cache(maxsize=None)
 def _lazy_base(K):
-    # base(v, off, mul_pow, norm): DFT_K on v[off:off+K] over signed digit
-    # lists, digit-wise butterflies with no carry and norm once per output
+    # base(v, off, mul_pow, norm): DFT_K on v[off:off+K] over residues,
+    # unreduced butterflies, the field's mul_pow per rotation and norm once
+    # per output
     return _generate("base", "v, off, mul_pow, norm", K,
-                     "v[off:off + %d]" % K, [],
-                     "{a}, {b} = [*map(add, {a}, {b})], [*map(sub, {a}, {b})]",
+                     "v[off:off + %d]" % K, [], _BUTTERFLY,
                      lambda a, t: "%s = mul_pow(%s, %d)" % (a, a, t),
                      lambda out: "v[off:off + %d] = %s" % (
                          K, ", ".join("norm(%s)" % a for a in out)))
@@ -328,12 +335,26 @@ def lap(profile, phase, t0):
 def dft_general(v, plan, field, profile=None):
     """In-place DFT of K^e points following the six-step schedule.
 
-    Raises ValueError unless v holds K^e field elements.  profile, when
+    Raises ValueError, v unchanged, unless v holds K^e field elements.  A
+    field with normalize runs on residues mod p: each element is decoded
+    once on entry and each value encoded once on exit.  profile, when
     given, accumulates wall time per phase: permutation, basecase, twiddle.
     """
+    return _transform(v, plan, field, profile)
+
+
+def dft_inverse(v, plan, field, profile=None):
+    """Inverse transform: the DFT at omega^(-1), then scale by 1/N."""
+    return _transform(v, plan.inverse(), field, profile, plan.n_inv())
+
+
+def _transform(v, plan, field, profile, scale=None):
     K, e, N = plan.K, plan.e, plan.N
     if len(v) != N or not all(map(field.is_element, v)):
         raise ValueError("v must hold K^e field elements")
+    digits = hasattr(field, "normalize")
+    if digits:
+        v[:] = map(field.decode, v)
     t0 = time.perf_counter() if profile is not None else 0
     for i in range(e - 1):
         size = K ** (e - i)
@@ -372,16 +393,12 @@ def dft_general(v, plan, field, profile=None):
             stride_permutation(v, K, m, offset=j)
         if profile is not None:
             t0 = lap(profile, "permutation", t0)
-    return v
-
-
-def dft_inverse(v, plan, field, profile=None):
-    """Inverse transform: dft_general at omega^(-1), then scale by 1/N."""
-    dft_general(v, plan.inverse(), field, profile=profile)
-    n_inv = plan.n_inv()
-    mul = field.mul
-    for i in range(len(v)):
-        v[i] = mul(v[i], n_inv)
+    if scale is not None:
+        mul = field.mul
+        for i in range(N):
+            v[i] = mul(v[i], scale)
+    if digits:
+        v[:] = map(field.encode, v)
     return v
 
 

@@ -3,10 +3,9 @@
 Two interchangeable pipelines compute x*y for canonical digit vectors:
 
   gfp_mul_fft     one negacyclic convolution of the digits modulo M, the
-                  product of the word primes of a CRT set, then one signed
-                  carry pass: digit i is the signed lift of coefficient i
-                  plus the carry, floor-divided by r; the carry out of the
-                  top digit sits at r^k = -1 and is subtracted.
+                  product of the word primes of a CRT set, then one
+                  settle: the signed lifts of the coefficients, evaluated
+                  at r by Horner's rule, reduced mod p and re-encoded.
   gfp_mul_bigint  evaluate at r, multiply as arbitrary-precision integers,
                   reduce mod p, re-encode.
 
@@ -14,8 +13,9 @@ The paper convolves modulo each word prime and rebuilds the coefficients
 by the CRT.  Z/M is the ring Z/q_1 x ... x Z/q_n, and a 2- or 3-word
 Python int costs about what a 1-word one does, so the CRT lives in the
 constants of one cached ConvolutionPlan per (primes, k) instead, and the
-carry pass divides each whole coefficient where the paper splits it into
-words l + h*r + c*r^2; crt_combine and lhc_decompose keep those steps.
+settle evaluates whole coefficients where the paper splits each into
+words l + h*r + c*r^2 and carries; crt_combine and lhc_decompose keep
+those steps.
 
 A constant that multiplies many elements, such as a twiddle factor, is
 best built once as FftOperand(params, crt, y), which keeps its transform.
@@ -41,12 +41,12 @@ from typing import NamedTuple
 
 from .fft import (BASE_SIZES, IntModField, build_plan, convolution_kernels,
                   dft_general, lap)
-# gfp_add and gfp_sub are not called here; they stay module globals
-# because perfbench/spans.py traces the add/sub layer through them
-from .gfp_field import (ConfigurationError, add_digits, check_canonical,
-                        digits_value, gfp_add, gfp_encode, gfp_mul_pow_r,
-                        gfp_sub, is_canonical, normalize_digits,
-                        shift_digits, sub_digits)
+# gfp_add, gfp_sub and gfp_mul_pow_r are not called here; they stay module
+# globals because perfbench/spans.py traces the add/sub and shift layers
+# through them
+from .gfp_field import (ConfigurationError, check_canonical, digits_value,
+                        gfp_add, gfp_encode, gfp_mul_pow_r, gfp_sub,
+                        is_canonical)
 from .word_field import P1, P2, P3, find_nth_root, word_prime
 
 
@@ -293,7 +293,7 @@ class FftOperand(tuple):
 
 def gfp_mul_fft(params, crt, x, y, profile=None):
     """x*y via one convolution mod the product of the CRT primes and
-    one signed carry pass over its coefficients.
+    one evaluation of its signed coefficients at r, reduced mod p.
 
     The primes are crt's when check_prime_compat passes for them, else
     crt's plus the fewest library primes that make it pass;
@@ -305,53 +305,43 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
     keys convolution (the compiled kernels: theta-weighting, transforms,
     pointwise product, unweighting and 1/k; the CRT itself is in the
     plan's constants) and carry (the signed lift of each coefficient from
-    [0, M), the carry pass and the settle of the carry out at r^k = -1).
+    [0, M), its evaluation at r by Horner's rule and the reduction mod p).
     """
     check_canonical(params, x)
     check_canonical(params, y)
-    return _mul_fft(params, crt, x, y, profile)
+    return gfp_encode(params, _mul_fft(params, crt, x, y, profile))
 
 
 def _mul_fft(params, crt, x, y, profile=None):
+    # x*y mod p as a residue; x and y are digit tuples or residues
     crt, plan = _resolve(params, crt)
     if profile is not None:
         t0 = time.perf_counter()
+    if type(x) is int:
+        x = gfp_encode(params, x)
     if isinstance(y, FftOperand) and y.primes == crt.primes:
-        zs = plan.inv(plan.fwd(x), y.spectrum)
+        ys = y.spectrum
     else:
-        zs = plan.inv(plan.fwd(x), plan.fwd(y))
+        ys = plan.fwd(gfp_encode(params, y) if type(y) is int else y)
+    zs = plan.inv(plan.fwd(x), ys)
     if profile is not None:
         t0 = lap(profile, "convolution", t0)
 
-    # coefficient i is the signed lift of zs[i] from [0, M), at r^i; one
-    # floor divmod per coefficient carries it into digit i
+    # coefficient i is the signed lift of zs[i] from [0, M), at r^i
     m, half, r = crt.modulus, crt.half_range, params.r
-    u = []
-    carry = 0
-    for v in zs:
-        carry, d = divmod((v - m if v > half else v) + carry, r)
-        u.append(d)
-    # the carry left over sits at r^k = -1; u and the encoded carry are
-    # canonical, so the unchecked digit loops settle it
-    if carry > 0:
-        u = sub_digits(params, u, gfp_encode(params, carry))
-    else:
-        u = add_digits(params, u, gfp_encode(params, -carry))
+    acc = 0
+    for v in reversed(zs):
+        acc = acc * r + (v - m if v > half else v)
     if profile is not None:
         lap(profile, "carry", t0)
-    return u
+    return acc % params.p
 
 
 def gfp_mul_bigint(params, x, y):
     """Reference product, inputs checked: evaluate at r, multiply, re-encode."""
     check_canonical(params, x)
     check_canonical(params, y)
-    return _mul_bigint(params, x, y)
-
-
-def _mul_bigint(params, x, y):
-    xv, yv = digits_value(params, x), digits_value(params, y)
-    return gfp_encode(params, xv * yv)
+    return gfp_encode(params, digits_value(params, x) * digits_value(params, y))
 
 
 # ---------------------------------------------------------------------------
@@ -361,13 +351,14 @@ class GfpFftField(IntModField):
     """Digit-vector field view used by dft_general over GF(r^k + 1).
 
     Elements are canonical digit tuples: encode is gfp_encode and decode
-    digits_value.  mul dispatches, unchecked, to the FFT pipeline or the
-    bigint reference according to backend.  The base cases add and
-    subtract digit lists themselves; shift(x, t) = x * r^t is the
-    carry-free ring rotation, a signed digit list with |digit| <= r for
-    canonical x, which mul takes as is; normalize(v) is the canonical
-    element of a signed digit list, called once per base-case output.
-    The power tables of IntModField hold FftOperands on the fft backend.
+    digits_value.  A transform decodes each element once on entry and
+    runs on residues mod p until it encodes each value once on exit, so
+    the hot-path operations return residues and take residues or digit
+    tuples: mul dispatches, unchecked, to the FFT pipeline or to x*y % p
+    according to backend; shift(x, t) = x * r^t is a multiply by the
+    cached r^t mod p, t <= 2k; normalize(x) = x % p is called once per
+    base-case output.  The power tables of IntModField, and 1/N, hold
+    FftOperands on the fft backend and residues on the bigint backend.
     root_power_mul_factory multiplies by powers of r or 1/r with shift and
     rejects any other base root or size.
     """
@@ -381,28 +372,33 @@ class GfpFftField(IntModField):
         self.params = params
         self.crt = crt
         self.backend = backend
-        self.encode = partial(gfp_encode, params)
-        self.decode = partial(digits_value, params)
+        self.encode = encode = partial(gfp_encode, params)
+        self.decode = decode = partial(digits_value, params)
         # unchecked cores: the field's own elements are canonical
         self.is_element = partial(is_canonical, params)
-        self.mul = (partial(_mul_fft, params, crt) if backend == "fft"
-                    else partial(_mul_bigint, params))
-        self.shift = partial(shift_digits, params)
-        self.normalize = partial(normalize_digits, params)
-        self.shift_root = self.encode(params.r)
+        p = params.p
+        powers = [pow(params.r, t, p) for t in range(2 * params.k + 1)]
+        if backend == "fft":
+            self.mul = partial(_mul_fft, params, crt)
+        else:
+            self.mul = lambda x, y: ((x if type(x) is int else decode(x))
+                                     * (y if type(y) is int else decode(y)) % p)
+        self.shift = lambda x, t: (x if type(x) is int else decode(x)) * powers[t] % p
+        self.normalize = lambda x: x % p
+        self.shift_root = encode(params.r)
         # r^(2k-1) = 1/r, the root inverse transforms align with
-        self.shift_root_inv = gfp_mul_pow_r(params, self.one(), 2 * params.k - 1)
+        self.shift_root_inv = encode(powers[2 * params.k - 1])
 
     def _prepared(self, a):
         if self.backend == "fft":
             return FftOperand(self.params, self.crt, a)
-        return a
+        return self.decode(a)
 
     def root_power_mul_factory(self, omega, count):
-        """x, t -> x * omega^t as a carry-free shift, t < count.
+        """x, t -> x * omega^t as a residue through shift, t < count.
 
         The base case of a transform over GF(r^k + 1): count must be 2k
-        and omega r or 1/r, else ValueError.  Results are not canonical.
+        and omega r or 1/r, else ValueError.
         """
         two_k = 2 * self.params.k
         if count != two_k:

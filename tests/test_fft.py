@@ -12,10 +12,10 @@ from gfpfft.fft import (
 )
 from gfpfft.gfp_field import (
     MAX_K, ConfigurationError, GfpParams, gfp_decode, gfp_encode,
-    gfp_find_nth_root, gfp_primitive_root,
+    gfp_find_nth_root, gfp_primitive_root, is_canonical,
 )
 from gfpfft.gfp_mult import FftOperand, GfpFftField
-from gfpfft.oracle import oracle_naive_dft
+from gfpfft.oracle import oracle_is_probable_prime, oracle_naive_dft
 from gfpfft.word_field import (
     P1, find_nth_root, mont_convert_in, mont_convert_out, word_prime,
     word_primitive_root,
@@ -438,13 +438,85 @@ def test_gfp_plan_takes_twiddle_table_from_field(backend):
     plan = build_plan(field, 16, 2, omega)
     table = field.power_table(omega, 16)
     assert plan.twiddle_table is table
-    kind = FftOperand if backend == "fft" else tuple
+    # the bigint backend multiplies residues, so its entries are residues
+    kind = FftOperand if backend == "fft" else int
     assert all(type(t) is kind for t in table)
-    assert table == [field.pow(omega, t) for t in range(16)]
+    want = [field.pow(omega, t) for t in range(16)]
+    assert table == (want if backend == "fft" else list(map(field.decode, want)))
     assert type(plan.n_inv()) is kind and plan.n_inv() is plan.n_inv()
     rng = random.Random(SEED)
     v = [gfp_encode(params, rng.randrange(params.p)) for _ in range(256)]
     assert dft_inverse(dft_general(list(v), plan, field), plan, field) == v
+
+
+@pytest.mark.parametrize("backend", ["fft", "bigint"])
+def test_gfp_transforms_hand_back_canonical_tuples(backend):
+    # the transforms run on residues inside; dft_general, dft_inverse and
+    # twiddle_apply leave only canonical digit tuples in v, and an input
+    # that is not an element raises before v is changed
+    params = GfpParams(4, 2)  # p = 17, base case K = 4
+    field = GfpFftField(params, backend=backend)
+    plan = build_plan(field, 4, 2, gfp_root(params, 16))
+    v = [gfp_encode(params, a) for a in range(16, 0, -1)]  # p - 1 first
+
+    def canonical(w):
+        return all(type(x) is tuple and is_canonical(params, x) for x in w)
+
+    for run in (dft_general, dft_inverse):
+        assert canonical(run(list(v), plan, field))
+    assert canonical(twiddle_apply(list(v), 4, 4, gfp_encode(params, 2), field))
+    for bad in [(4, 0), (1, 4), (0.0, 1), (1, 2, 0)]:
+        w = list(v)
+        w[7] = bad
+        for run in (dft_general, dft_inverse):
+            with pytest.raises(ValueError):
+                run(w, plan, field)
+            assert w[:7] == v[:7] and w[8:] == v[8:] and w[7] == bad
+
+
+def _fuzz_fields(rng):
+    # seeded draws of prime p = r^k + 1 for k in 1, 2, 4, 8: every radix
+    # below max(k, 3) that gives a prime (r < k for k = 4 and 8), then two
+    # random multiples of 4, so that (2k)^2 divides p - 1 = r^k; a size
+    # (2k)^e that does not divide p - 1 is skipped
+    for k in (1, 2, 4, 8):
+        found = [r for r in range(2, max(k, 3))
+                 if oracle_is_probable_prime(r ** k + 1, 20)]
+        want = len(found) + 2
+        while len(found) < want:
+            r = 4 * rng.randrange(1, 1 << 14)
+            if r not in found and oracle_is_probable_prime(r ** k + 1, 20):
+                found.append(r)
+        for r in found:
+            for e in (1, 2):
+                if r ** k % (2 * k) ** e == 0:
+                    yield GfpParams(r, k), e
+
+
+def test_gfp_transform_fuzz_small_fields():
+    # forward and inverse K = 2k transforms over drawn fields, both
+    # backends, against the naive DFT; inputs hold 0, 1, r, p - 2, p - 1
+    rng = random.Random(SEED ^ 0xF022)
+    seen = set()
+    for params, e in _fuzz_fields(rng):
+        p, K = params.p, 2 * params.k
+        N = K ** e
+        omega = gfp_root(params, N)
+        w = gfp_decode(params, omega)
+        ints = [0, p - 1, 1, params.r, p - 2][:N]
+        ints += [rng.randrange(p) for _ in range(N - len(ints))]
+        rng.shuffle(ints)
+        want = oracle_naive_dft(ints, w, p)
+        n_inv = pow(N, -1, p)
+        want_inv = [a * n_inv % p for a in oracle_naive_dft(ints, pow(w, -1, p), p)]
+        for backend in ("fft", "bigint"):
+            field = GfpFftField(params, backend=backend)
+            plan = build_plan(field, K, e, omega)
+            v = [gfp_encode(params, a) for a in ints]
+            assert [gfp_decode(params, x) for x in dft_general(list(v), plan, field)] == want
+            assert [gfp_decode(params, x) for x in dft_inverse(v, plan, field)] == want_inv
+        seen.add((params.k, params.r < params.k, e))
+    assert {(k, False, 2) for k in (1, 2, 4, 8)} | {(4, True, 1), (8, True, 2)} <= seen
 
 
 def test_gfp_plan_base_must_match_2k():
@@ -525,5 +597,7 @@ def test_field_plan_math_matches_native_ints(kind):
         gfp_decode(field.params, gfp_root(field.params, N))
     plan = build_plan(field, K, e, field.encode(w))
     table = field.power_table(plan.omega, 20)
-    assert [field.decode(t) for t in table] == [pow(w, t, p) for t in range(20)]
-    assert field.decode(plan.n_inv()) == pow(N, -1, p)
+    # the bigint backend keeps table entries and 1/N as residues
+    value = (lambda t: t) if kind == "bigint" else field.decode
+    assert [value(t) for t in table] == [pow(w, t, p) for t in range(20)]
+    assert value(plan.n_inv()) == pow(N, -1, p)

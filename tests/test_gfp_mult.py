@@ -606,39 +606,45 @@ def _specials(params, rng, count):
 
 
 def test_field_adapter_scalar_helpers():
-    # shift is the carry-free rotation: signed digits of size at most r,
-    # made canonical by normalize, for every t <= 2k
+    # shift multiplies by the cached r^t mod p for every t <= 2k, on a
+    # digit tuple or its residue alike, and returns the residue below p
+    # that encodes to gfp_mul_pow_r; normalize reduces any int mod p
     k, r = TABLE3[0]
     params = GfpParams(r, k)
+    p = params.p
     field = GfpFftField(params, backend="bigint")
     rng = random.Random(SEED)
-    a = rng.randrange(params.p)
+    a = rng.randrange(p)
     x = gfp_encode(params, a)
-    assert to_int(params, field.pow(x, 5)) == pow(a, 5, params.p)
+    assert to_int(params, field.pow(x, 5)) == pow(a, 5, p)
     for x in _specials(params, rng, 10):
         for t in range(2 * k + 1):
             v = field.shift(x, t)
-            assert all(abs(d) <= r for d in v)
-            assert field.normalize(v) == gfp_mul_pow_r(params, x, t)
-    assert field.normalize([-1] + [0] * (k - 1)) == gfp_encode(params, params.p - 1)
-    assert gfp_sub(params, field.encode(0), field.one()) == gfp_encode(params, params.p - 1)
+            assert type(v) is int and 0 <= v < p
+            assert field.shift(to_int(params, x), t) == v
+            assert field.encode(v) == gfp_mul_pow_r(params, x, t)
+            assert field.normalize(v - 3 * p) == field.normalize(v + 5 * p) == v
+    assert field.encode(field.normalize(-1)) == gfp_encode(params, p - 1)
+    assert gfp_sub(params, field.encode(0), field.one()) == gfp_encode(params, p - 1)
 
 
 def test_field_adapter_mul_pow_factories():
     k, r = TABLE3[0]
     params = GfpParams(r, k)
+    p = params.p
     field = GfpFftField(params, backend="bigint")
     rng = random.Random(SEED)
     rot = field.root_power_mul_factory(field.shift_root, 2 * k)
     rot_inv = field.root_power_mul_factory(field.shift_root_inv, 2 * k)
-    r_inv = pow(r, -1, params.p)
+    r_inv = pow(r, -1, p)
     for x in _specials(params, rng, 10):
+        xv = to_int(params, x)
         for t in range(2 * k):
             for v in (rot(x, t), rot_inv(x, t)):
-                assert all(abs(d) <= r for d in v)
-            assert field.normalize(rot(x, t)) == gfp_mul_pow_r(params, x, t)
-            want = to_int(params, x) * pow(r_inv, t, params.p) % params.p
-            assert field.normalize(rot_inv(x, t)) == gfp_encode(params, want)
+                assert type(v) is int and 0 <= v < p
+            assert field.encode(rot(x, t)) == gfp_mul_pow_r(params, x, t)
+            want = xv * pow(r_inv, t, p) % p
+            assert rot_inv(x, t) == rot_inv(xv, t) == want
 
     # only the base case of a GF(r^k + 1) transform: 2k powers of r or 1/r
     with pytest.raises(ValueError):
@@ -652,8 +658,9 @@ def test_field_adapter_mul_pow_factories():
                                  (4, 3), (2, 6)])
 @pytest.mark.parametrize("backend", ["fft", "bigint"])
 def test_field_mul_takes_shifted_operand(k, r, backend):
-    # the twiddle stage hands mul a shift's signed digits; the product
-    # is canonical, and on fft the coefficients stay within k*r^2 (three
+    # the twiddle stage hands mul a shift's residue; the product is the
+    # residue below p, whether y is a digit tuple, an FftOperand or a
+    # residue, and on fft the coefficients stay within k*r^2 (three
     # primes at (8, 2^63 + 2^34))
     params = GfpParams(r, k)
     field = GfpFftField(params, backend=backend)
@@ -661,10 +668,12 @@ def test_field_mul_takes_shifted_operand(k, r, backend):
     rng = random.Random(SEED ^ k ^ r)
     xs = _specials(params, rng, 4)
     ys = xs[:6] + [FftOperand(params, crt_default(), y) for y in xs[3:6]]
+    ys += [to_int(params, y) for y in xs[:6]]
     for x in xs:
         for t in range(2 * k + 1):
             v = field.shift(x, t)
             xv = to_int(params, x) * pow(r, t, p)
             for y in ys:
-                want = gfp_encode(params, xv * to_int(params, y))
-                assert field.mul(v, y) == want
+                want = xv * (y if type(y) is int else to_int(params, y)) % p
+                got = field.mul(v, y)
+                assert type(got) is int and got == want
