@@ -346,9 +346,10 @@ def cmd_bench_fft(args, out=None):
     backends = [args.backend] if args.backend else list(BACKENDS)
     radii = {K: _radix(args.r, K // 2) for K in Ks}  # raise before the header
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["K", "e", "backend", "total_seconds",
-                     "permutation_seconds", "basecase_seconds",
-                     "twiddle_seconds", "avg_mult_seconds", "verified"])
+    phases = ("permutation", "basecase", "twiddle", "boundary")
+    writer.writerow(["K", "e", "backend", "total_seconds"]
+                    + ["%s_seconds" % phase for phase in phases]
+                    + ["avg_mult_seconds", "verified"])
     trials = args.trials
     for K in Ks:
         for e in es:
@@ -380,11 +381,9 @@ def cmd_bench_fft(args, out=None):
                 for key in profile:
                     profile[key] /= trials
                 avg = total / _mult_count(K, e)
-                rows.append([K, e, backend, "%.6f" % total,
-                             "%.6f" % profile.get("permutation", 0.0),
-                             "%.6f" % profile.get("basecase", 0.0),
-                             "%.6f" % profile.get("twiddle", 0.0),
-                             "%.9f" % avg, verified])
+                rows.append([K, e, backend, "%.6f" % total]
+                            + ["%.6f" % profile.get(phase, 0.0) for phase in phases]
+                            + ["%.9f" % avg, verified])
             for row in rows:
                 writer.writerow(row)
     return 0

@@ -9,16 +9,16 @@ pass of K-point base cases, then per level a twiddle stage, a permutation,
 another base-case pass, and a closing permutation.  Base cases for
 K in {2, 4, ..., 64} are generated once by unrolling the radix-2 splitting
 of DFT_K into a flat list of dft2 / twiddle / swap steps, compiled as
-straight-line Python with unreduced butterflies: over a word modulus q,
-the field base cases and the negacyclic convolution kernels inline root
-powers as constants and reduce once per output (% q); a field with
-normalize runs its multiplier by powers of the base root per rotation
-and one normalize per output.  At e = 1 the transform is one base case.
+straight-line Python with unreduced butterflies and one reduction per
+output (% q).  Over a word modulus q, the field base cases and the
+negacyclic convolution kernels inline root powers as constants; a field
+with shift runs its multiplier by powers of the base root per rotation.
+At e = 1 the transform is one base case.
 
 A field defines its element form, encode(int) -> element and
 decode(element) -> int, and its hot-path arithmetic: is_element, mul and
 root_power_mul_factory(omega, count), the closure x, t -> x*omega^t that
-the normalize base cases and every twiddle stage use for powers of the
+the shift base cases and every twiddle stage use for powers of the
 base root.  IntModField below defines both for plain residues mod a
 prime and, through encode and decode, does the plan-time math of every
 field once on native ints: pow, one, power_table and a plan's 1/N.
@@ -26,10 +26,10 @@ power_table(omega, count) is the field's cached list of omega^t, t <
 count, each in the form its mul takes fastest; plans take their twiddle
 table from it.  build_plan calls root_power_mul_factory once, so a field
 whose multiplier only works for some roots rejects the others there.  A
-field with normalize, such as GF(r^k + 1) on digit tuples, is
-transformed on residues mod p: dft_general and dft_inverse decode each
-element once on entry and encode each value once on exit, and its mul,
-multiplier and normalize take and return residues in between.
+field with shift, such as GF(r^k + 1) on digit tuples, is transformed on
+residues mod p: dft_general and dft_inverse decode each element once on
+entry and encode each value once on exit, and its mul and multiplier
+take and return residues in between.
 dft_general and build_plan check their inputs once with is_element; the
 arithmetic underneath checks nothing.
 
@@ -84,14 +84,14 @@ def twiddle_apply(v, m, n, omega_i, field, offset=0):
     Exponents are never formed with a generic power: each block keeps a
     running row step omega_i^j and each lane multiplies the running factor
     by it, so the stage costs O(m*n) multiplications.  A field with
-    normalize multiplies into residues, and the lanes it changed are
-    encoded back into elements.  A standalone helper: dft_general does not
+    shift multiplies into residues, and the lanes it changed are encoded
+    back into elements.  A standalone helper: dft_general does not
     call it.
     """
     if m == 1:
         return v
     mul = field.mul
-    digits = hasattr(field, "normalize")
+    digits = hasattr(field, "shift")
     row = omega_i
     for j in range(1, n):
         base = offset + j * m
@@ -208,27 +208,25 @@ def _twiddle(root, q):
     return lambda a, t: "%s = %s * %d %% %d" % (a, a, pow(root, t, q), q)
 
 
-@lru_cache(maxsize=128)  # bounded: q and omega come from the caller
-def _int_base(q, K, omega):
-    # base(v, off): DFT_K on v[off:off+K] mod q at the plain root omega,
-    # one % q per output; a DFT is linear, so on Montgomery residues it
-    # returns the Montgomery form of the result
-    return _generate("base", "v, off", K, "v[off:off + %d]" % K, [],
-                     _BUTTERFLY, _twiddle(omega, q),
-                     lambda out: "v[off:off + %d] = %s" % (
+def _base_template(q, K, args, tw_line):
+    # base(v, off, ...): DFT_K on v[off:off+K] mod q, one % q per output
+    return _generate("base", args, K, "v[off:off + %d]" % K, [], _BUTTERFLY,
+                     tw_line, lambda out: "v[off:off + %d] = %s" % (
                          K, ", ".join("%s %% %d" % (a, q) for a in out)))
 
 
-@lru_cache(maxsize=None)
-def _lazy_base(K):
-    # base(v, off, mul_pow, norm): DFT_K on v[off:off+K] over residues,
-    # unreduced butterflies, the field's mul_pow per rotation and norm once
-    # per output
-    return _generate("base", "v, off, mul_pow, norm", K,
-                     "v[off:off + %d]" % K, [], _BUTTERFLY,
-                     lambda a, t: "%s = mul_pow(%s, %d)" % (a, a, t),
-                     lambda out: "v[off:off + %d] = %s" % (
-                         K, ", ".join("norm(%s)" % a for a in out)))
+@lru_cache(maxsize=128)  # bounded: q and omega come from the caller
+def _int_base(q, K, omega):
+    # base(v, off) at the plain root omega; a DFT is linear, so on
+    # Montgomery residues it returns the Montgomery form of the result
+    return _base_template(q, K, "v, off", _twiddle(omega, q))
+
+
+@lru_cache(maxsize=128)  # bounded: p comes from the caller
+def _lazy_base(p, K):
+    # base(v, off, mul_pow) mod p, rotating by the field's mul_pow
+    return _base_template(p, K, "v, off, mul_pow",
+                       lambda a, t: "%s = mul_pow(%s, %d)" % (a, a, t))
 
 
 def convolution_kernels(q, k, theta):
@@ -316,11 +314,10 @@ def build_plan(field, K, e, omega):
 
 def _base_pass(v, plan, field, mul_base):
     K = plan.K
-    norm = getattr(field, "normalize", None)
-    if norm is None:
-        base, ops = _int_base(field.p, K, field.decode(plan.omega_base)), ()
+    if hasattr(field, "shift"):
+        base, ops = _lazy_base(field.p, K), (mul_base,)
     else:
-        base, ops = _lazy_base(K), (mul_base, norm)
+        base, ops = _int_base(field.p, K, field.decode(plan.omega_base)), ()
     for j in range(0, plan.N, K):
         base(v, j, *ops)
 
@@ -336,9 +333,10 @@ def dft_general(v, plan, field, profile=None):
     """In-place DFT of K^e points following the six-step schedule.
 
     Raises ValueError, v unchanged, unless v holds K^e field elements.  A
-    field with normalize runs on residues mod p: each element is decoded
-    once on entry and each value encoded once on exit.  profile, when
-    given, accumulates wall time per phase: permutation, basecase, twiddle.
+    field with shift runs on residues mod p: each element is decoded once
+    on entry and each value encoded once on exit.  profile, when given,
+    accumulates wall time per phase: permutation, basecase, twiddle and
+    boundary (the element check, decode, 1/N scale and encode).
     """
     return _transform(v, plan, field, profile)
 
@@ -350,12 +348,14 @@ def dft_inverse(v, plan, field, profile=None):
 
 def _transform(v, plan, field, profile, scale=None):
     K, e, N = plan.K, plan.e, plan.N
+    t0 = time.perf_counter() if profile is not None else 0
     if len(v) != N or not all(map(field.is_element, v)):
         raise ValueError("v must hold K^e field elements")
-    digits = hasattr(field, "normalize")
+    digits = hasattr(field, "shift")
     if digits:
         v[:] = map(field.decode, v)
-    t0 = time.perf_counter() if profile is not None else 0
+    if profile is not None:
+        t0 = lap(profile, "boundary", t0)
     for i in range(e - 1):
         size = K ** (e - i)
         sub = size // K
@@ -399,6 +399,8 @@ def _transform(v, plan, field, profile, scale=None):
             v[i] = mul(v[i], scale)
     if digits:
         v[:] = map(field.encode, v)
+    if profile is not None:
+        lap(profile, "boundary", t0)
     return v
 
 

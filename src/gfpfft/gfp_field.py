@@ -7,23 +7,18 @@ the coefficient of r^i.  Two canonical shapes exist:
   form B: top digit equal to r, all others zero, the unique encoding of p-1.
 
 Addition and subtraction run in O(k) digit operations with
-conditional-subtract carries.  Multiplication by a power of r is
-shift_digits, a rotation with no carry that negates the digits passing
-r^k = -1 and returns a signed digit list; normalize_digits maps any
-signed digit list to its canonical element, so a run of additions and
-rotations, such as a transform's base case, carries once at its end.
+conditional-subtract carries.  Multiplication by a power of r evaluates
+the element, multiplies by r^i mod p and re-encodes: transforms over
+GF(p) run on residues mod p, where a power of r is one cached constant.
 
 is_canonical defines a valid element.  Every public operation checks each
 operand with it once and raises ValueError; the digit loops underneath,
-add_digits, sub_digits, shift_digits and normalize_digits, trust their
-input.
+add_digits and sub_digits, trust their input.
 
-GfpParams is immutable and shareable; all operations are pure and return
-fresh tuples, or lists from shift_digits.
+GfpParams is immutable and shareable; all operations return fresh tuples.
 """
 
 from dataclasses import dataclass
-from operator import neg
 
 from .word_field import find_nth_root
 
@@ -64,8 +59,12 @@ class GfpParams:
 
 
 def is_canonical(params, x):
-    """True iff x is k digits of type int in form A or form B."""
-    if len(x) != params.k or not {int}.issuperset(map(type, x)):
+    """True iff x is a sequence of k digits of type int in form A or B."""
+    try:
+        n = len(x)
+    except TypeError:  # not a sequence: an int, None
+        return False
+    if n != params.k or not {int}.issuperset(map(type, x)):
         return False
     r = params.r
     if min(x) >= 0 and max(x) < r:
@@ -94,7 +93,10 @@ def digits_value(params, x):
 
 
 def gfp_encode(params, n):
-    """Canonical element congruent to n mod p.  n may be negative or huge."""
+    """Canonical element congruent to n mod p.  n may be negative or huge
+    but must be an int: any other type, bool included, raises ValueError."""
+    if type(n) is not int:
+        raise ValueError("n must be an int")
     r, k = params.r, params.k
     n %= params.p
     if n == params.p - 1:
@@ -182,27 +184,8 @@ def gfp_mul_pow_r(params, x, i):
     check_canonical(params, x)
     if not 0 <= i <= 2 * params.k:
         raise ValueError("shift exponent out of range")
-    return normalize_digits(params, shift_digits(params, x, i))
-
-
-def shift_digits(params, x, t):
-    """x * r^t, 0 <= t <= 2k, as a signed digit list with no carry.
-
-    In Z[r]/(r^k + 1) the digits pushed past r^k come back negated at the
-    bottom, and past r^2k = 1 positive again, so each output digit is a
-    digit of x or its negative.  The value is x * r^t mod p; only
-    normalize_digits makes it canonical.
-    """
-    k = params.k
-    if t < k:
-        return [*map(neg, x[k - t:]), *x[:k - t]]
-    t -= k
-    return [*x[k - t:], *map(neg, x[:k - t])]
-
-
-def normalize_digits(params, v):
-    """The canonical element of sum(v[i] * r^i) mod p, for any int digits."""
-    return gfp_encode(params, digits_value(params, v))
+    return gfp_encode(params,
+                      digits_value(params, x) * pow(params.r, i, params.p))
 
 
 def gfp_primitive_root(params, N, g):

@@ -19,6 +19,8 @@ those steps.
 
 A constant that multiplies many elements, such as a twiddle factor, is
 best built once as FftOperand(params, crt, y), which keeps its transform.
+GfpFftField, the view of GF(p) that fft transforms on residues mod p,
+keeps its twiddle tables and 1/N that way on the fft backend.
 
 The coefficients reach k*r^2, so the primes must satisfy
 k*r^2 <= (q_1*...*q_n - 1)/2 together with 2k | q_i - 1.
@@ -356,11 +358,10 @@ class GfpFftField(IntModField):
     the hot-path operations return residues and take residues or digit
     tuples: mul dispatches, unchecked, to the FFT pipeline or to x*y % p
     according to backend; shift(x, t) = x * r^t is a multiply by the
-    cached r^t mod p, t <= 2k; normalize(x) = x % p is called once per
-    base-case output.  The power tables of IntModField, and 1/N, hold
-    FftOperands on the fft backend and residues on the bigint backend.
-    root_power_mul_factory multiplies by powers of r or 1/r with shift and
-    rejects any other base root or size.
+    cached r^t mod p, t <= 2k, and marks the field as one that fft runs
+    on residues.  Power tables and 1/N hold FftOperands or residues by
+    backend.  root_power_mul_factory multiplies by powers of r or 1/r
+    with shift and rejects any other base root or size.
     """
 
     def __init__(self, params, crt=None, backend="fft"):
@@ -384,7 +385,6 @@ class GfpFftField(IntModField):
             self.mul = lambda x, y: ((x if type(x) is int else decode(x))
                                      * (y if type(y) is int else decode(y)) % p)
         self.shift = lambda x, t: (x if type(x) is int else decode(x)) * powers[t] % p
-        self.normalize = lambda x: x % p
         self.shift_root = encode(params.r)
         # r^(2k-1) = 1/r, the root inverse transforms align with
         self.shift_root_inv = encode(powers[2 * params.k - 1])

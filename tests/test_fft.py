@@ -175,10 +175,10 @@ def test_base_case_montgomery_field():
 @pytest.mark.parametrize("K", BASE_SIZES)
 def test_field_base_case_is_straight_line(K):
     # every compiled template at size K: the int field base case, the
-    # digit-list base case and both convolution kernels at k = K
+    # GF(p) base case and both convolution kernels at k = K
     int_base = fft._int_base(P1, K, find_nth_root(P1, K))
     fwd, inv = fft.convolution_kernels(P1, K, find_nth_root(P1, 2 * K))
-    for fn in (int_base, fft._lazy_base(K), fwd, inv):
+    for fn in (int_base, fft._lazy_base(P1, K), fwd, inv):
         tree = ast.parse(fn.source)
         assert not [n for n in ast.walk(tree)
                     if isinstance(n, (ast.For, ast.While, ast.comprehension))]
@@ -192,13 +192,18 @@ def test_field_base_case_is_straight_line(K):
 
 @pytest.mark.parametrize("K", BASE_SIZES)
 def test_lazy_base_case_is_straight_line(K):
-    # the digit-list template: butterflies are comprehension-free list
-    # displays over map, and the only calls per output are shifts and norm
-    source = fft._lazy_base(K).source
-    tree = ast.parse(source)
+    # the GF(p) template calls only the field's mul_pow, once per
+    # rotation, and reduces each output once with an inline % p
+    p = GfpParams(4, 2).p
+    tree = ast.parse(fft._lazy_base(p, K).source)
     assert not [n for n in ast.walk(tree)
                 if isinstance(n, (ast.For, ast.While, ast.comprehension))]
-    assert source.count("norm(") == K
+    calls = [n for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert {c.func.id for c in calls} <= {"mul_pow"}
+    assert len(calls) == sum(op[0] == "tw" for op in fft.base_case_ops(K))
+    outputs = tree.body[0].body[-1].value.elts
+    assert len(outputs) == K
+    assert all(isinstance(o.op, ast.Mod) and o.right.value == p for o in outputs)
 
 
 @pytest.mark.parametrize("K", BASE_SIZES)
@@ -380,7 +385,7 @@ def test_profile_accumulates_phases():
     plan = build_plan(field, 8, 2, root_257(64))
     profile = {}
     dft_general([0] * 64, plan, field, profile=profile)
-    assert set(profile) == {"permutation", "basecase", "twiddle"}
+    assert set(profile) == {"permutation", "basecase", "twiddle", "boundary"}
     assert all(t >= 0 for t in profile.values())
 
 
@@ -465,7 +470,8 @@ def test_gfp_transforms_hand_back_canonical_tuples(backend):
     for run in (dft_general, dft_inverse):
         assert canonical(run(list(v), plan, field))
     assert canonical(twiddle_apply(list(v), 4, 4, gfp_encode(params, 2), field))
-    for bad in [(4, 0), (1, 4), (0.0, 1), (1, 2, 0)]:
+    # nor is an int entry, the field's inner form, or None
+    for bad in [(4, 0), (1, 4), (0.0, 1), (1, 2, 0), 3, None]:
         w = list(v)
         w[7] = bad
         for run in (dft_general, dft_inverse):

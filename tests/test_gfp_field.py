@@ -9,7 +9,7 @@ from gfpfft import gfp_mult
 from gfpfft.gfp_field import (
     MAX_K, ConfigurationError, GfpParams, gfp_add, gfp_decode, gfp_encode,
     gfp_find_nth_root, gfp_mul_pow_r, gfp_primitive_root, gfp_sub,
-    is_canonical, normalize_digits, shift_digits,
+    is_canonical,
 )
 from gfpfft.gfp_mult import FftOperand, crt_default, gfp_mul_bigint, gfp_mul_fft
 
@@ -86,6 +86,13 @@ def test_encode_decode_bijection(k, r):
     assert gfp_encode(params, params.p - 1) == (0,) * (k - 1) + (r,)
 
 
+@pytest.mark.parametrize("n", [2.5, True, "3", None, 3.0])
+def test_encode_rejects_non_int(n):
+    # a float would come back as float digits, a non-canonical element
+    with pytest.raises(ValueError, match="int"):
+        gfp_encode(GfpParams(10, 4), n)
+
+
 def test_is_canonical_rejects():
     params = GfpParams(10, 4)
     assert not is_canonical(params, (0, 0, 0))          # wrong length
@@ -93,6 +100,8 @@ def test_is_canonical_rejects():
     assert not is_canonical(params, (0, 0, 0, 11))      # above r
     assert not is_canonical(params, (1, 0, 0, 10))      # form B with junk
     assert not is_canonical(params, (-1, 0, 0, 0))
+    assert not is_canonical(params, 5)                  # no len: False,
+    assert not is_canonical(params, None)               # not TypeError
     assert is_canonical(params, (0, 0, 0, 10))
     assert is_canonical(params, (9, 9, 9, 9))
     with pytest.raises(ValueError):
@@ -164,8 +173,9 @@ def test_public_entries_check_exactly_canonical(r, k):
     partners = {gfp_encode(params, n): n for n in (0, 1, p - 2, p - 1)}
     vectors = list(itertools.product(range(r + 2), repeat=k))
     vectors += [(0,) * (k - 1), (0,) * (k + 1)]
-    # digits of any type but int, bool included, are not canonical
-    vectors += [(0.5,) + (0,) * (k - 1), (True,) + (0,) * (k - 1)]
+    # digits of any type but int, bool included, are not canonical, and
+    # neither is a value that is not a sequence
+    vectors += [(0.5,) + (0,) * (k - 1), (True,) + (0,) * (k - 1), 5, None]
     for x in vectors:
         ok = is_canonical(params, x)
         # the value x stands for; unused when x raises
@@ -178,8 +188,9 @@ def test_public_entries_check_exactly_canonical(r, k):
         for i in range(2 * k + 1):
             _expect(ok, params, lambda: gfp_mul_pow_r(params, x, i),
                     a * r ** i)
-            _expect(ok, params, lambda: gfp_mul_pow_r(params, list(x), i),
-                    a * r ** i)
+            if isinstance(x, tuple):
+                _expect(ok, params, lambda: gfp_mul_pow_r(params, list(x), i),
+                        a * r ** i)
         for y, b in partners.items():
             _expect(ok, params, lambda: gfp_add(params, x, y), a + b)
             _expect(ok, params, lambda: gfp_add(params, y, x), a + b)
@@ -288,45 +299,58 @@ def test_find_nth_root_composite_modulus():
         gfp_find_nth_root(GfpParams(8, 2), 4)
 
 
-# the ring rotation and the one carry: shift_digits and normalize_digits
+# the one carry and the ring rotation, through the public entries
 
 NORMALIZE_FIELDS = [(r, k) for k in (1, 2) for r in range(2, 7)] + [(2, 4), (3, 4)]
 
 
 @pytest.mark.parametrize("r,k", NORMALIZE_FIELDS)
 def test_normalize_exhaustive(r, k):
-    # every signed digit vector in [-4r, 4r]^k: the bound covers a K = 2k
-    # base case of up to two butterfly layers past a shift
+    # gfp_encode maps [0, p) onto exactly the canonical vectors in
+    # [0, r]^k, and every int in [-4p, 4p] to the image of its residue
     params = GfpParams(r, k)
-    weights = [r ** i for i in range(k)]
-    for v in itertools.product(range(-4 * r, 4 * r + 1), repeat=k):
-        want = gfp_encode(params, sum(d * w for d, w in zip(v, weights)))
-        assert normalize_digits(params, list(v)) == want
+    p = params.p
+    images = [gfp_encode(params, n) for n in range(p)]
+    canonical = [x for x in itertools.product(range(r + 1), repeat=k)
+                 if is_canonical(params, x)]
+    assert sorted(images) == canonical
+    for n in range(-4 * p, 4 * p + 1):
+        assert gfp_encode(params, n) == images[n % p]
 
 
 @pytest.mark.parametrize("r", [4, 5, 6])
 def test_normalize_edge_digits_k4(r):
-    # k = 4 with r > 3 has too many vectors in [-4r, 4r]^4; take the
-    # digits next to the carry thresholds and the range ends
+    # k = 4 with r > 3 has too many vectors in [-1, r+1]^4 to cover
+    # every one; take the digits next to the carry thresholds: each
+    # rotation raises exactly for a non-canonical vector, else it is the
+    # canonical element of the product
     params = GfpParams(r, 4)
-    p = params.p
-    edges = (-4 * r, -r - 1, -r, -r + 1, -1, 0, 1, r - 1, r, r + 1, 4 * r)
-    for v in itertools.product(edges, repeat=4):
-        got = normalize_digits(params, v)
-        assert is_canonical(params, got)
-        assert gfp_decode(params, got) == sum(d * r ** i for i, d in enumerate(v)) % p
+    edges = (-1, 0, 1, r - 1, r, r + 1)
+    for x in itertools.product(edges, repeat=4):
+        ok = is_canonical(params, x)
+        a = sum(d * r ** i for i, d in enumerate(x)) if ok else 0
+        for i in range(2 * 4 + 1):
+            _expect(ok, params, lambda: gfp_mul_pow_r(params, x, i),
+                    a * r ** i)
+
+
+def _rotation(x, t, k):
+    # x * r^t in Z[r]/(r^k + 1) with no carry: digits pushed past
+    # r^k = -1 come back negated at the bottom, past r^2k = 1 positive
+    if t >= k:
+        return [-d for d in _rotation(x, t - k, k)]
+    return [-d for d in x[k - t:]] + list(x[:k - t])
 
 
 @pytest.mark.parametrize("k,r", ALL_CONFIGS)
 def test_shift_digits_is_the_ring_rotation(k, r):
-    # no carry: each digit is a digit of x or its negative, so |d| <= r
-    # even for form B, and normalizing gives gfp_mul_pow_r
+    # gfp_mul_pow_r is the canonical element of the signed digit rotation
     params = GfpParams(r, k)
     rng = random.Random(SEED ^ k)
     for a in interesting_values(params, rng, 20):
         x = gfp_encode(params, a)
         for t in range(2 * k + 1):
-            v = shift_digits(params, x, t)
-            assert type(v) is list and len(v) == k
+            v = _rotation(x, t, k)
             assert sorted(map(abs, v)) == sorted(x)
-            assert normalize_digits(params, v) == gfp_mul_pow_r(params, x, t)
+            want = sum(d * r ** i for i, d in enumerate(v))
+            assert gfp_mul_pow_r(params, x, t) == gfp_encode(params, want)
