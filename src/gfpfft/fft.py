@@ -13,7 +13,9 @@ straight-line Python with unreduced butterflies and one reduction per
 output (% q).  Over a word modulus q, the field base cases and the
 negacyclic convolution kernels inline root powers as constants; a field
 with shift runs its multiplier by powers of the base root per rotation.
-At e = 1 the transform is one base case.
+At e = 1 the transform is one base case.  dft_inverse runs the same plan:
+the DFT at omega^(-1) is the DFT at omega with outputs 1..N-1 reversed, so
+it reverses them and scales each residue by the plain int 1/N mod p.
 
 A field defines its element form, encode(int) -> element and
 decode(element) -> int, and its hot-path arithmetic: is_element, mul and
@@ -21,11 +23,12 @@ root_power_mul_factory(omega, count), the closure x, t -> x*omega^t that
 the shift base cases and every twiddle stage use for powers of the
 base root.  IntModField below defines both for plain residues mod a
 prime and, through encode and decode, does the plan-time math of every
-field once on native ints: pow, one, power_table and a plan's 1/N.
+field once on native ints: pow, one and power_table.
 power_table(omega, count) is the field's cached list of omega^t, t <
 count, each in the form its mul takes fastest; plans take their twiddle
-table from it.  build_plan calls root_power_mul_factory once, so a field
-whose multiplier only works for some roots rejects the others there.  A
+table from it.  build_plan calls root_power_mul_factory once, before it
+asks for the twiddle table, so a field whose multiplier only works for
+some roots rejects the others first.  A
 field with shift, such as GF(r^k + 1) on digit tuples, is transformed on
 residues mod p: dft_general and dft_inverse decode each element once on
 entry and encode each value once on exit, and its mul and multiplier
@@ -266,23 +269,10 @@ class FftPlan:
         self.N = K ** e
         self.omega = omega
         self.omega_base = field.pow(omega, K ** (e - 1))
+        # a field whose multiplier cannot run this base root raises here,
+        # before the twiddle table is built
+        field.root_power_mul_factory(self.omega_base, K)
         self.twiddle_table = field.power_table(omega, K ** (e - 1))
-        self._inverse = None
-        self._n_inv = None
-
-    def inverse(self):
-        """Plan for the same size at omega^(N-1) = omega^(-1)."""
-        if self._inverse is None:
-            field = self.field
-            omega_inv = field.pow(self.omega, self.N - 1)
-            self._inverse = build_plan(field, self.K, self.e, omega_inv)
-        return self._inverse
-
-    def n_inv(self):
-        if self._n_inv is None:
-            field = self.field
-            self._n_inv = field._prepared(field.encode(pow(self.N, -1, field.p)))
-        return self._n_inv
 
 
 def build_plan(field, K, e, omega):
@@ -291,8 +281,9 @@ def build_plan(field, K, e, omega):
     omega must be a field element with omega^N = 1, omega^(N/2) = -1, and
     the field's root_power_mul_factory must accept the base root
     omega^(N/K) with count K; GfpFftField raises there unless K = 2k and
-    the base root is r or 1/r.  K^e above MAX_N raises ConfigurationError
-    before K^e is computed.
+    the base root is r.  Both checks come before the twiddle table is
+    built, and K^e above MAX_N raises ConfigurationError before K^e is
+    computed.
     """
     if K not in BASE_SIZES:
         raise ValueError("unsupported base-case size")
@@ -307,9 +298,7 @@ def build_plan(field, K, e, omega):
     w = field.decode(omega)
     if pow(w, N, p) != 1 or pow(w, N // 2, p) != p - 1:
         raise ValueError("omega is not a primitive N-th root")
-    plan = FftPlan(field, K, e, omega)
-    field.root_power_mul_factory(plan.omega_base, K)
-    return plan
+    return FftPlan(field, K, e, omega)
 
 
 def _base_pass(v, plan, field, mul_base):
@@ -336,17 +325,18 @@ def dft_general(v, plan, field, profile=None):
     field with shift runs on residues mod p: each element is decoded once
     on entry and each value encoded once on exit.  profile, when given,
     accumulates wall time per phase: permutation, basecase, twiddle and
-    boundary (the element check, decode, 1/N scale and encode).
+    boundary (the element check, decode, reversal, 1/N scale and encode).
     """
     return _transform(v, plan, field, profile)
 
 
 def dft_inverse(v, plan, field, profile=None):
-    """Inverse transform: the DFT at omega^(-1), then scale by 1/N."""
-    return _transform(v, plan.inverse(), field, profile, plan.n_inv())
+    """Inverse transform on the forward plan: the DFT at omega^(-1) is the
+    DFT at omega with outputs 1..N-1 in reverse order, then scale by 1/N."""
+    return _transform(v, plan, field, profile, inverse=True)
 
 
-def _transform(v, plan, field, profile, scale=None):
+def _transform(v, plan, field, profile, inverse=False):
     K, e, N = plan.K, plan.e, plan.N
     t0 = time.perf_counter() if profile is not None else 0
     if len(v) != N or not all(map(field.is_element, v)):
@@ -393,10 +383,11 @@ def _transform(v, plan, field, profile, scale=None):
             stride_permutation(v, K, m, offset=j)
         if profile is not None:
             t0 = lap(profile, "permutation", t0)
-    if scale is not None:
-        mul = field.mul
-        for i in range(N):
-            v[i] = mul(v[i], scale)
+    if inverse:
+        # v holds residues mod p, plain or Montgomery; a DFT is linear, so
+        # the plain int 1/N scales either form
+        p, n_inv = field.p, pow(N, -1, field.p)
+        v[:] = [x * n_inv % p for x in v[:1] + v[:0:-1]]
     if digits:
         v[:] = map(field.encode, v)
     if profile is not None:

@@ -59,12 +59,10 @@ class GfpParams:
 
 
 def is_canonical(params, x):
-    """True iff x is a sequence of k digits of type int in form A or B."""
-    try:
-        n = len(x)
-    except TypeError:  # not a sequence: an int, None
-        return False
-    if n != params.k or not {int}.issuperset(map(type, x)):
+    """True iff x is a tuple or a list of k digits of type int in form A
+    or B; a subclass such as FftOperand counts as its base."""
+    if (not isinstance(x, (tuple, list)) or len(x) != params.k
+            or not {int}.issuperset(map(type, x))):
         return False
     r = params.r
     if min(x) >= 0 and max(x) < r:
@@ -180,10 +178,11 @@ def sub_digits(params, x, y):
 
 
 def gfp_mul_pow_r(params, x, i):
-    """x * r^i mod p for 0 <= i <= 2k; raises ValueError for a bad x or i."""
+    """x * r^i mod p for an int 0 <= i <= 2k; raises ValueError for a bad
+    x or i, a float or a bool i included."""
     check_canonical(params, x)
-    if not 0 <= i <= 2 * params.k:
-        raise ValueError("shift exponent out of range")
+    if type(i) is not int or not 0 <= i <= 2 * params.k:
+        raise ValueError("shift exponent must be an int in [0, 2k]")
     return gfp_encode(params,
                       digits_value(params, x) * pow(params.r, i, params.p))
 

@@ -20,7 +20,7 @@ those steps.
 A constant that multiplies many elements, such as a twiddle factor, is
 best built once as FftOperand(params, crt, y), which keeps its transform.
 GfpFftField, the view of GF(p) that fft transforms on residues mod p,
-keeps its twiddle tables and 1/N that way on the fft backend.
+keeps its twiddle tables that way on the fft backend.
 
 The coefficients reach k*r^2, so the primes must satisfy
 k*r^2 <= (q_1*...*q_n - 1)/2 together with 2k | q_i - 1.
@@ -191,7 +191,7 @@ class ConvolutionPlan:
     find_nth_root(q_i, 2k) over the primes q_i.  For k = 1 and the
     base-case sizes fwd and inv are fft.convolution_kernels over q, and
     longer convolutions weigh, run dft_general over IntModField(q) and
-    unweigh.
+    unweigh; inv runs the forward plan and reads its output backwards.
     """
 
     __slots__ = ("fwd", "inv")
@@ -216,9 +216,9 @@ class ConvolutionPlan:
             return tuple(dft_general(v, plan, field))
 
         def inv(a, b):
-            v = [u * w % q for u, w in zip(a, b)]
-            dft_general(v, plan.inverse(), field)
-            return tuple(u * t % q for u, t in zip(v, scale))
+            # the DFT at theta^-2 is this one with outputs 1..k-1 reversed
+            v = dft_general([u * w % q for u, w in zip(a, b)], plan, field)
+            return tuple(v[-i] * t % q for i, t in enumerate(scale))
 
         self.fwd, self.inv = fwd, inv
 
@@ -359,9 +359,9 @@ class GfpFftField(IntModField):
     tuples: mul dispatches, unchecked, to the FFT pipeline or to x*y % p
     according to backend; shift(x, t) = x * r^t is a multiply by the
     cached r^t mod p, t <= 2k, and marks the field as one that fft runs
-    on residues.  Power tables and 1/N hold FftOperands or residues by
-    backend.  root_power_mul_factory multiplies by powers of r or 1/r
-    with shift and rejects any other base root or size.
+    on residues.  Power tables hold FftOperands or residues by backend.
+    root_power_mul_factory multiplies by powers of r with shift and
+    rejects any other base root or size.
     """
 
     def __init__(self, params, crt=None, backend="fft"):
@@ -386,8 +386,6 @@ class GfpFftField(IntModField):
                                      * (y if type(y) is int else decode(y)) % p)
         self.shift = lambda x, t: (x if type(x) is int else decode(x)) * powers[t] % p
         self.shift_root = encode(params.r)
-        # r^(2k-1) = 1/r, the root inverse transforms align with
-        self.shift_root_inv = encode(powers[2 * params.k - 1])
 
     def _prepared(self, a):
         if self.backend == "fft":
@@ -398,15 +396,11 @@ class GfpFftField(IntModField):
         """x, t -> x * omega^t as a residue through shift, t < count.
 
         The base case of a transform over GF(r^k + 1): count must be 2k
-        and omega r or 1/r, else ValueError.
+        and omega r, else ValueError.
         """
-        two_k = 2 * self.params.k
-        if count != two_k:
+        if count != 2 * self.params.k:
             raise ValueError("base-case size must equal 2k for this field")
+        if omega != self.shift_root:
+            raise ValueError("omega^(N/2k) must equal the radix r")
         # read per dft_general call, so a wrapper on it sees each rotation
-        shift = self.shift
-        if omega == self.shift_root:
-            return shift
-        if omega == self.shift_root_inv:
-            return lambda a, t: shift(a, two_k - t)
-        raise ValueError("omega^(N/2k) must equal the radix r or 1/r")
+        return self.shift

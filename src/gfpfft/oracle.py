@@ -38,7 +38,8 @@ def oracle_negacyclic(x, y, ctx):
     """Schoolbook product of two polynomials mod (R^k + 1), coefficients mod q.
 
     The double loop folds every degree >= k term back with a sign flip,
-    mirroring the f_u expansion term by term.
+    mirroring the f_u expansion term by term; each output is reduced once,
+    after its last term.
     """
     q = ctx.q
     k = len(x)
@@ -50,10 +51,10 @@ def oracle_negacyclic(x, y, ctx):
         for j in range(k):
             m = i + j
             if m < k:
-                out[m] = (out[m] + xi * y[j]) % q
+                out[m] += xi * y[j]
             else:
-                out[m - k] = (out[m - k] - xi * y[j]) % q
-    return out
+                out[m - k] -= xi * y[j]
+    return [c % q for c in out]
 
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)

@@ -2,6 +2,7 @@
 
 import ast
 import random
+from functools import partial
 
 import pytest
 
@@ -225,8 +226,8 @@ def test_field_base_case_montgomery_every_size(K):
 @pytest.mark.parametrize("backend", ["fft", "bigint"])
 @pytest.mark.parametrize("k,r", [(8, GFP_R), (2, 4)])
 def test_field_base_case_gfp_matches_naive(backend, k, r):
-    # e = 1 at K = 2k: every twiddle of the base case is a digit rotation,
-    # by r forwards and by 1/r in the inverse
+    # e = 1 at K = 2k: every twiddle of the base case is a multiply by a
+    # power of r, and the inverse runs the same plan
     params = GfpParams(r, k)
     field = GfpFftField(params, backend=backend)
     K = 2 * k
@@ -380,6 +381,62 @@ def test_inverse_roundtrip_gfp():
         assert dft_inverse(w, plan, field) == v
 
 
+INVERSE_CASES = ["intmod", "mont", "fft", "bigint", "fft-17", "bigint-17"]
+
+
+def _inverse_case(name):
+    # (field, K, e, plain root, p, encode, decode): N = 256 over P1 and
+    # over GF(r^k + 1) at k = 8, N = 16 over GF(4^2 + 1) = GF(17)
+    if name in ("intmod", "mont"):
+        ctx = word_prime(P1)
+        w = find_nth_root(P1, 256)
+        if name == "intmod":
+            return IntModField(P1), 16, 2, w, P1, int, int
+        return (MontField(ctx), 16, 2, w, P1, partial(mont_convert_in, ctx),
+                partial(mont_convert_out, ctx))
+    backend, _, small = name.partition("-")
+    params = GfpParams(4, 2) if small else GfpParams(GFP_R, 8)
+    K = 2 * params.k
+    w = gfp_decode(params, gfp_root(params, K * K))
+    return (GfpFftField(params, backend=backend), K, 2, w, params.p,
+            partial(gfp_encode, params), partial(gfp_decode, params))
+
+
+@pytest.mark.parametrize("name", INVERSE_CASES)
+def test_dft_inverse_is_naive_dft_at_inverse_root(name):
+    # the forward plan read backwards: the DFT at omega^-1, times 1/N
+    field, K, e, w, p, enc, dec = _inverse_case(name)
+    N = K ** e
+    plan = build_plan(field, K, e, enc(w))
+    rng = random.Random(SEED)
+    ints = [0, 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(N - 4)]
+    rng.shuffle(ints)
+    n_inv = pow(N, -1, p)
+    want = [a * n_inv % p for a in oracle_naive_dft(ints, pow(w, -1, p), p)]
+    assert [dec(x) for x in dft_inverse(list(map(enc, ints)), plan, field)] == want
+
+
+@pytest.mark.parametrize("name", INVERSE_CASES)
+def test_dft_inverse_builds_no_plan(name, monkeypatch):
+    # the inverse runs the forward plan: it builds no second plan and asks
+    # the field for no table the forward transform does not ask for, which
+    # over GF(r^k + 1) is none at all
+    field, K, e, w, p, enc, dec = _inverse_case(name)
+    plan = build_plan(field, K, e, enc(w))
+    v = list(map(enc, range(K ** e)))
+    plans, tables = [], []
+    monkeypatch.setattr(fft, "build_plan",
+                        lambda *args: plans.append(args) or build_plan(*args))
+    power_table = field.power_table
+    monkeypatch.setattr(field, "power_table",
+                        lambda *args: tables.append(args) or power_table(*args))
+    dft_general(list(v), plan, field)
+    forward, tables[:] = tables[:], []
+    dft_inverse(list(v), plan, field)
+    assert plans == [] and tables == forward
+    assert tables == [] or not isinstance(field, GfpFftField)
+
+
 def test_profile_accumulates_phases():
     field = gf257()
     plan = build_plan(field, 8, 2, root_257(64))
@@ -448,7 +505,6 @@ def test_gfp_plan_takes_twiddle_table_from_field(backend):
     assert all(type(t) is kind for t in table)
     want = [field.pow(omega, t) for t in range(16)]
     assert table == (want if backend == "fft" else list(map(field.decode, want)))
-    assert type(plan.n_inv()) is kind and plan.n_inv() is plan.n_inv()
     rng = random.Random(SEED)
     v = [gfp_encode(params, rng.randrange(params.p)) for _ in range(256)]
     assert dft_inverse(dft_general(list(v), plan, field), plan, field) == v
@@ -542,6 +598,21 @@ def test_gfp_plan_root_must_align_with_radix():
         build_plan(field, 16, 2, skewed)
 
 
+@pytest.mark.parametrize("backend", ["fft", "bigint"])
+def test_gfp_plan_checks_base_root_before_any_table(backend):
+    # omega^3 and omega^-1 are primitive 256th roots whose base roots are
+    # r^3 and 1/r; build_plan refuses both before power_table is asked
+    params = GfpParams(GFP_R, 8)
+    field = GfpFftField(params, backend=backend)
+    omega = gfp_root(params, 256)
+    counts = []
+    field.power_table = lambda omega, count: counts.append(count) or []
+    for skewed in (field.pow(omega, 3), field.pow(omega, 255)):
+        with pytest.raises(ValueError, match="radix r"):
+            build_plan(field, 16, 2, skewed)
+    assert counts == []
+
+
 def test_plan_rejects_bad_parameters():
     field = gf257()
     with pytest.raises(ValueError):
@@ -565,9 +636,10 @@ def test_plan_size_limit_raises_before_any_table():
     with pytest.raises(ConfigurationError, match="MAX_N"):
         build_plan(field, 64, 10 ** 18, 1)
     assert counts == []
-    # the largest size allowed still builds
+    # the largest size allowed still builds: the base-root check asks for
+    # its 16 powers, then the plan for its twiddle table
     build_plan(field, 16, 5, find_nth_root(p, fft.MAX_N))
-    assert counts == [fft.MAX_N // 16, 16]
+    assert counts == [16, fft.MAX_N // 16]
 
 
 def test_montfield_adapter_operations():
@@ -585,7 +657,7 @@ def test_montfield_adapter_operations():
 
 @pytest.mark.parametrize("kind", ["intmod", "mont", "fft", "bigint"])
 def test_field_plan_math_matches_native_ints(kind):
-    # encode/decode, pow, one, power tables and 1/N against plain ints mod p
+    # encode/decode, pow, one and power tables against plain ints mod p
     if kind == "intmod":
         field, K, e = IntModField(P1), 8, 2
     elif kind == "mont":
@@ -603,7 +675,6 @@ def test_field_plan_math_matches_native_ints(kind):
         gfp_decode(field.params, gfp_root(field.params, N))
     plan = build_plan(field, K, e, field.encode(w))
     table = field.power_table(plan.omega, 20)
-    # the bigint backend keeps table entries and 1/N as residues
+    # the bigint backend keeps table entries as residues
     value = (lambda t: t) if kind == "bigint" else field.decode
     assert [value(t) for t in table] == [pow(w, t, p) for t in range(20)]
-    assert value(plan.n_inv()) == pow(N, -1, p)

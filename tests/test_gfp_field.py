@@ -164,6 +164,26 @@ def _expect(ok, params, call, want):
     assert gfp_decode(params, got) == want % params.p
 
 
+@pytest.mark.parametrize("x", [
+    b"\x01\x02", bytearray(b"\x01\x02"), memoryview(b"\x01\x02"),
+    range(1, 3), {1: 0, 2: 0}, {1, 2}, "12",
+], ids=["bytes", "bytearray", "memoryview", "range", "dict", "set", "str"])
+def test_public_entries_take_only_tuples_and_lists(x):
+    # each of these has k = 2 items, and most of them iterate as two small
+    # ints, yet only a tuple or a list is an element
+    params = GfpParams(10, 2)
+    y = gfp_encode(params, 21)
+    assert not is_canonical(params, x)
+    for call in (lambda: gfp_decode(params, x),
+                 lambda: gfp_add(params, x, y), lambda: gfp_add(params, y, x),
+                 lambda: gfp_mul_fft(params, crt_default(), x, y),
+                 lambda: gfp_mul_fft(params, crt_default(), y, x)):
+        with pytest.raises(ValueError):
+            call()
+    assert is_canonical(params, [1, 2])
+    assert is_canonical(params, FftOperand(params, crt_default(), (1, 2)))
+
+
 @pytest.mark.parametrize("r,k", [(2, 1), (3, 2), (4, 2), (2, 4), (3, 4)])
 def test_public_entries_check_exactly_canonical(r, k):
     # every digit vector in [0, r+1]^k, one short and one long: each public
@@ -236,6 +256,14 @@ def test_mul_pow_r_range_check():
         gfp_mul_pow_r(params, x, -1)
     with pytest.raises(ValueError):
         gfp_mul_pow_r(params, x, 2 * 4 + 1)
+
+
+@pytest.mark.parametrize("i", [1.0, True, "1", None])
+def test_mul_pow_r_takes_only_int_exponents(i):
+    # a float would reach pow and a bool would count as 0 or 1
+    params = GfpParams(10, 4)
+    with pytest.raises(ValueError, match="int"):
+        gfp_mul_pow_r(params, gfp_encode(params, 1234), i)
 
 
 @pytest.mark.parametrize("k,r", [(8, (1 << 59) + (1 << 16)), (4, 10)])

@@ -633,20 +633,17 @@ def test_field_adapter_mul_pow_factories():
     field = GfpFftField(params, backend="bigint")
     rng = random.Random(SEED)
     rot = field.root_power_mul_factory(field.shift_root, 2 * k)
-    rot_inv = field.root_power_mul_factory(field.shift_root_inv, 2 * k)
-    r_inv = pow(r, -1, p)
     for x in _specials(params, rng, 10):
-        xv = to_int(params, x)
         for t in range(2 * k):
-            for v in (rot(x, t), rot_inv(x, t)):
-                assert type(v) is int and 0 <= v < p
-            assert field.encode(rot(x, t)) == gfp_mul_pow_r(params, x, t)
-            want = xv * pow(r_inv, t, p) % p
-            assert rot_inv(x, t) == rot_inv(xv, t) == want
+            v = rot(x, t)
+            assert type(v) is int and 0 <= v < p
+            assert field.encode(v) == gfp_mul_pow_r(params, x, t)
 
-    # only the base case of a GF(r^k + 1) transform: 2k powers of r or 1/r
+    # only the base case of a GF(r^k + 1) transform: 2k powers of r
     with pytest.raises(ValueError):
         field.root_power_mul_factory(gfp_encode(params, 3), 2 * k)
+    with pytest.raises(ValueError):
+        field.root_power_mul_factory(gfp_encode(params, pow(r, -1, p)), 2 * k)
     with pytest.raises(ValueError):
         field.root_power_mul_factory(field.shift_root, k)
 
