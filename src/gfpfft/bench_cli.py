@@ -396,7 +396,7 @@ def cmd_profile_mul(args, out=None):
     radii = [_radix(args.r, k) for k in ks]  # raise before the header
     rng = random.Random(args.seed)
     writer = csv.writer(out, lineterminator="\n")
-    steps = ["convolution", "carry"]
+    steps = ["convolution", "carry", "boundary"]
     writer.writerow(["k", "r"] + ["%s_pct" % s for s in steps])
     for k, r in zip(ks, radii):
         params = GfpParams(r, k)

@@ -32,9 +32,10 @@ some roots rejects the others first.  A
 field with shift, such as GF(r^k + 1) on digit tuples, is transformed on
 residues mod p: dft_general and dft_inverse decode each element once on
 entry and encode each value once on exit, and its mul and multiplier
-take and return residues in between.
-dft_general and build_plan check their inputs once with is_element; the
-arithmetic underneath checks nothing.
+take and return residues in between.  Such a field's decode raises
+ValueError for a non-element, so it is those transforms' input check;
+the other fields' inputs, and every plan's root, are checked once with
+is_element.  The arithmetic underneath checks nothing.
 
 Plans are immutable after construction and shareable; dft_general mutates
 exactly one caller-owned list.
@@ -322,10 +323,11 @@ def dft_general(v, plan, field, profile=None):
     """In-place DFT of K^e points following the six-step schedule.
 
     Raises ValueError, v unchanged, unless v holds K^e field elements.  A
-    field with shift runs on residues mod p: each element is decoded once
-    on entry and each value encoded once on exit.  profile, when given,
-    accumulates wall time per phase: permutation, basecase, twiddle and
-    boundary (the element check, decode, reversal, 1/N scale and encode).
+    field with shift runs on residues mod p: each element is decoded, and
+    so checked, once on entry and each value encoded once on exit.
+    profile, when given, accumulates wall time per phase: permutation,
+    basecase, twiddle and boundary (the element check, decode, reversal,
+    1/N scale and encode).
     """
     return _transform(v, plan, field, profile)
 
@@ -339,10 +341,11 @@ def dft_inverse(v, plan, field, profile=None):
 def _transform(v, plan, field, profile, inverse=False):
     K, e, N = plan.K, plan.e, plan.N
     t0 = time.perf_counter() if profile is not None else 0
-    if len(v) != N or not all(map(field.is_element, v)):
-        raise ValueError("v must hold K^e field elements")
     digits = hasattr(field, "shift")
+    if len(v) != N or not (digits or all(map(field.is_element, v))):
+        raise ValueError("v must hold K^e field elements")
     if digits:
+        # the checked decode raises ValueError before v changes
         v[:] = map(field.decode, v)
     if profile is not None:
         t0 = lap(profile, "boundary", t0)

@@ -11,14 +11,26 @@ conditional-subtract carries.  Multiplication by a power of r evaluates
 the element, multiplies by r^i mod p and re-encodes: transforms over
 GF(p) run on residues mod p, where a power of r is one cached constant.
 
+Conversions between residues and digits run on radix_codec(r, k), three
+functions compiled once per field: encode reduces mod p and splits by
+r^(k/2), then r^(k/4), ... down to r (divide-and-conquer radix conversion,
+Brent and Zimmermann, Modern Computer Arithmetic, 1.7), value evaluates
+the digits pairwise, and decode is value behind the element check.  Up to
+k = 64 they are straight-line code with the powers of r inlined; above,
+loops run the same split.
+
 is_canonical defines a valid element.  Every public operation checks each
-operand with it once and raises ValueError; the digit loops underneath,
-add_digits and sub_digits, trust their input.
+operand with it once and raises ValueError; the checked decode does so
+inline for form A and falls back to it otherwise.  The digit loops
+underneath, add_digits and sub_digits, and the codec's value trust their
+input.
 
 GfpParams is immutable and shareable; all operations return fresh tuples.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .word_field import find_nth_root
 
@@ -78,32 +90,113 @@ def check_canonical(params, x):
 
 def gfp_decode(params, x):
     """The integer value sum(digits[i] * r^i); raises on non-canonical input."""
-    check_canonical(params, x)
-    return digits_value(params, x)
+    return radix_codec(params.r, params.k).decode(x)
 
 
 def digits_value(params, x):
     """gfp_decode without the canonical check, for trusted elements."""
-    acc = 0
-    for d in reversed(x):
-        acc = acc * params.r + d
-    return acc
+    return radix_codec(params.r, params.k).value(x)
 
 
 def gfp_encode(params, n):
     """Canonical element congruent to n mod p.  n may be negative or huge
     but must be an int: any other type, bool included, raises ValueError."""
-    if type(n) is not int:
-        raise ValueError("n must be an int")
-    r, k = params.r, params.k
-    n %= params.p
-    if n == params.p - 1:
-        return (0,) * (k - 1) + (r,)
-    digits = []
-    for _ in range(k):
-        n, d = divmod(n, r)
-        digits.append(d)
-    return tuple(digits)
+    return radix_codec(params.r, params.k).encode(n)
+
+
+RadixCodec = namedtuple("RadixCodec", "encode value decode")
+
+# the largest k whose codec is compiled straight-line; above it, loops
+STRAIGHT_LINE_K = 64
+
+
+@lru_cache(maxsize=64)  # bounded: r and k come from the caller
+def radix_codec(r, k):
+    """The conversions of GF(r^k + 1), compiled once: encode(n) is the
+    canonical element of n mod p and raises ValueError unless n is an
+    int; value(x) is the int of k digits, unchecked; decode(x) is the
+    value of a canonical element and raises ValueError for anything
+    else."""
+    params = GfpParams(r, k)
+    p = params.p
+    # the split widths k/2, k/4, ..., 1: 2w digits divide by r^w into two
+    # halves of w
+    widths = [k >> s for s in range(1, k.bit_length())]
+    form_b = (0,) * (k - 1) + (r,)
+
+    def checked(x):
+        if not is_canonical(params, x):
+            raise ValueError("non-canonical element")
+        return value(x)
+
+    if k > STRAIGHT_LINE_K:
+        powers = [r ** w for w in widths]
+
+        def encode(n):
+            if type(n) is not int:
+                raise ValueError("n must be an int")
+            n %= p
+            if n == p - 1:
+                return form_b
+            parts = [n]
+            for power in powers:
+                parts = [d for t in parts for d in divmod(t, power)[::-1]]
+            return tuple(parts)
+
+        def value(x):
+            for power in reversed(powers):
+                x = [a + b * power for a, b in zip(x[::2], x[1::2])]
+            return x[0]
+
+        return RadixCodec(encode, value, checked)
+
+    names = ["a%d" % i for i in range(k)]
+    digits = "%s," % ", ".join(names)
+    # digits lo .. lo+w-1 of a canonical value, evaluated pairwise
+    def pairwise(lo, w):
+        if w == 1:
+            return names[lo]
+        h = w // 2
+        high = pairwise(lo + h, h)
+        return "%s + %s * %#x" % (pairwise(lo, h),
+                                  high if h == 1 else "(%s)" % high, r ** h)
+
+    # split level by level: a(lo) holds digits lo .. lo+2w-1 until it is
+    # divided by r^w into a(lo+w) and a(lo)
+    split = ["%s, %s = divmod(%s, %#x)" % (names[lo + w], names[lo],
+                                           names[lo], r ** w)
+             for w in widths for lo in range(0, k, 2 * w)]
+    # 0 <= a0 < r > a1 >= 0 <= a2 < r > ...: every digit in [0, r)
+    bounds = " ".join(["0"] + ["<= %s < %#x" % (a, r) if i % 2 == 0
+                               else "> %s >= 0" % a
+                               for i, a in enumerate(names)])
+    scope = {"checked": checked}
+    source = "\n".join([
+        "def encode(n):",
+        "    if type(n) is not int:",
+        "        raise ValueError('n must be an int')",
+        "    a0 = n %% %#x" % p,
+        "    if a0 == %#x:" % (p - 1),
+        "        return %r" % (form_b,),
+        *("    " + line for line in split),
+        "    return (%s)" % digits,
+        "def value(x):",
+        "    %s = x" % digits,
+        "    return %s" % pairwise(0, k),
+        "def decode(x):",
+        "    if (type(x) is tuple or type(x) is list) and len(x) == %d:" % k,
+        "        %s = x" % digits,
+        "        if int is %s and %s:" % (
+            " is ".join("type(%s)" % a for a in names), bounds),
+        "            return %s" % pairwise(0, k),
+        "    return checked(x)",
+        ""])
+    exec(compile(source, "<radix_codec r=%d k=%d>" % (r, k), "exec"), scope)
+    value = scope["value"]  # the name checked calls
+    codec = RadixCodec(scope["encode"], value, scope["decode"])
+    for fn in codec:
+        fn.source = source
+    return codec
 
 
 def gfp_add(params, x, y):
@@ -180,11 +273,11 @@ def sub_digits(params, x, y):
 def gfp_mul_pow_r(params, x, i):
     """x * r^i mod p for an int 0 <= i <= 2k; raises ValueError for a bad
     x or i, a float or a bool i included."""
-    check_canonical(params, x)
+    codec = radix_codec(params.r, params.k)
+    a = codec.decode(x)
     if type(i) is not int or not 0 <= i <= 2 * params.k:
         raise ValueError("shift exponent must be an int in [0, 2k]")
-    return gfp_encode(params,
-                      digits_value(params, x) * pow(params.r, i, params.p))
+    return codec.encode(a * pow(params.r, i, params.p))
 
 
 def gfp_primitive_root(params, N, g):

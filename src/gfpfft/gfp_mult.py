@@ -4,8 +4,8 @@ Two interchangeable pipelines compute x*y for canonical digit vectors:
 
   gfp_mul_fft     one negacyclic convolution of the digits modulo M, the
                   product of the word primes of a CRT set, then one
-                  settle: the signed lifts of the coefficients, evaluated
-                  at r by Horner's rule, reduced mod p and re-encoded.
+                  signed carry pass over the lifted coefficients, whose
+                  carry out of the top re-enters at r^0 negated.
   gfp_mul_bigint  evaluate at r, multiply as arbitrary-precision integers,
                   reduce mod p, re-encode.
 
@@ -13,9 +13,10 @@ The paper convolves modulo each word prime and rebuilds the coefficients
 by the CRT.  Z/M is the ring Z/q_1 x ... x Z/q_n, and a 2- or 3-word
 Python int costs about what a 1-word one does, so the CRT lives in the
 constants of one cached ConvolutionPlan per (primes, k) instead, and the
-settle evaluates whole coefficients where the paper splits each into
-words l + h*r + c*r^2 and carries; crt_combine and lhc_decompose keep
-those steps.
+carry pass divides whole coefficients by r where the paper splits each
+into words l + h*r + c*r^2 first; crt_combine and lhc_decompose keep
+those steps.  A product wanted as a residue, as GfpFftField.mul returns
+it, is instead evaluated at r by Horner's rule and reduced mod p.
 
 A constant that multiplies many elements, such as a twiddle factor, is
 best built once as FftOperand(params, crt, y), which keeps its transform.
@@ -48,7 +49,7 @@ from .fft import (BASE_SIZES, IntModField, build_plan, convolution_kernels,
 # through them
 from .gfp_field import (ConfigurationError, check_canonical, digits_value,
                         gfp_add, gfp_encode, gfp_mul_pow_r, gfp_sub,
-                        is_canonical)
+                        is_canonical, radix_codec)
 from .word_field import P1, P2, P3, find_nth_root, word_prime
 
 
@@ -295,7 +296,7 @@ class FftOperand(tuple):
 
 def gfp_mul_fft(params, crt, x, y, profile=None):
     """x*y via one convolution mod the product of the CRT primes and
-    one evaluation of its signed coefficients at r, reduced mod p.
+    one signed carry pass over its coefficients.
 
     The primes are crt's when check_prime_compat passes for them, else
     crt's plus the fewest library primes that make it pass;
@@ -306,16 +307,21 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
     profile, when given, accumulates seconds per pipeline step under the
     keys convolution (the compiled kernels: theta-weighting, transforms,
     pointwise product, unweighting and 1/k; the CRT itself is in the
-    plan's constants) and carry (the signed lift of each coefficient from
-    [0, M), its evaluation at r by Horner's rule and the reduction mod p).
+    plan's constants), carry (the signed lift of each coefficient from
+    [0, M), the carry pass and the settle of the carry out at r^k = -1)
+    and boundary (the two operand checks).
     """
+    t0 = time.perf_counter() if profile is not None else 0
     check_canonical(params, x)
     check_canonical(params, y)
-    return gfp_encode(params, _mul_fft(params, crt, x, y, profile))
+    if profile is not None:
+        lap(profile, "boundary", t0)
+    return _mul_fft(params, crt, x, y, profile, digits=True)
 
 
-def _mul_fft(params, crt, x, y, profile=None):
-    # x*y mod p as a residue; x and y are digit tuples or residues
+def _mul_fft(params, crt, x, y, profile=None, digits=False):
+    # x*y mod p as a residue, or as an element when digits is true; x and
+    # y are digit tuples or residues
     crt, plan = _resolve(params, crt)
     if profile is not None:
         t0 = time.perf_counter()
@@ -331,19 +337,35 @@ def _mul_fft(params, crt, x, y, profile=None):
 
     # coefficient i is the signed lift of zs[i] from [0, M), at r^i
     m, half, r = crt.modulus, crt.half_range, params.r
-    acc = 0
-    for v in reversed(zs):
-        acc = acc * r + (v - m if v > half else v)
+    if digits:
+        # one floor divmod per coefficient carries it into digit i; the
+        # carry c out of the top sits at r^k = -1, so -c comes back in at
+        # r^0, and a carry c past the top again stands for -c
+        u = []
+        c = 0
+        for v in zs:
+            c, d = divmod((v - m if v > half else v) + c, r)
+            u.append(d)
+        c, i = -c, 0
+        while c and i < params.k:
+            c, u[i] = divmod(u[i] + c, r)
+            i += 1
+        z = gfp_encode(params, digits_value(params, u) - c) if c else tuple(u)
+    else:
+        # Horner's rule at r, one reduction mod p
+        z = 0
+        for v in reversed(zs):
+            z = z * r + (v - m if v > half else v)
+        z %= params.p
     if profile is not None:
         lap(profile, "carry", t0)
-    return acc % params.p
+    return z
 
 
 def gfp_mul_bigint(params, x, y):
     """Reference product, inputs checked: evaluate at r, multiply, re-encode."""
-    check_canonical(params, x)
-    check_canonical(params, y)
-    return gfp_encode(params, digits_value(params, x) * digits_value(params, y))
+    codec = radix_codec(params.r, params.k)
+    return codec.encode(codec.decode(x) * codec.decode(y))
 
 
 # ---------------------------------------------------------------------------
@@ -352,14 +374,15 @@ def gfp_mul_bigint(params, x, y):
 class GfpFftField(IntModField):
     """Digit-vector field view used by dft_general over GF(r^k + 1).
 
-    Elements are canonical digit tuples: encode is gfp_encode and decode
-    digits_value.  A transform decodes each element once on entry and
-    runs on residues mod p until it encodes each value once on exit, so
-    the hot-path operations return residues and take residues or digit
-    tuples: mul dispatches, unchecked, to the FFT pipeline or to x*y % p
-    according to backend; shift(x, t) = x * r^t is a multiply by the
-    cached r^t mod p, t <= 2k, and marks the field as one that fft runs
-    on residues.  Power tables hold FftOperands or residues by backend.
+    Elements are canonical digit tuples: encode and decode are the
+    field's radix_codec, and decode checks its argument, so a transform
+    decodes and checks each element once on entry and runs on residues
+    mod p until it encodes each value once on exit.  The hot-path
+    operations return residues and take residues or digit tuples: mul
+    dispatches, unchecked, to the FFT pipeline or to x*y % p according to
+    backend; shift(x, t) = x * r^t is a multiply by the cached r^t mod p,
+    t <= 2k, and marks the field as one that fft runs on residues; pow
+    is unchecked too.  Power tables hold FftOperands or residues by backend.
     root_power_mul_factory multiplies by powers of r with shift and
     rejects any other base root or size.
     """
@@ -373,18 +396,21 @@ class GfpFftField(IntModField):
         self.params = params
         self.crt = crt
         self.backend = backend
-        self.encode = encode = partial(gfp_encode, params)
-        self.decode = decode = partial(digits_value, params)
-        # unchecked cores: the field's own elements are canonical
+        codec = radix_codec(params.r, params.k)
+        self.encode = encode = codec.encode
+        self.decode = codec.decode
         self.is_element = partial(is_canonical, params)
+        # unchecked cores: the field's own elements are canonical
+        value = codec.value
         p = params.p
         powers = [pow(params.r, t, p) for t in range(2 * params.k + 1)]
         if backend == "fft":
             self.mul = partial(_mul_fft, params, crt)
         else:
-            self.mul = lambda x, y: ((x if type(x) is int else decode(x))
-                                     * (y if type(y) is int else decode(y)) % p)
-        self.shift = lambda x, t: (x if type(x) is int else decode(x)) * powers[t] % p
+            self.mul = lambda x, y: ((x if type(x) is int else value(x))
+                                     * (y if type(y) is int else value(y)) % p)
+        self.shift = lambda x, t: (x if type(x) is int else value(x)) * powers[t] % p
+        self.pow = lambda a, e: encode(pow(value(a), e, p))
         self.shift_root = encode(params.r)
 
     def _prepared(self, a):

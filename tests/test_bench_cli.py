@@ -204,10 +204,11 @@ def test_profile_mul_percentages(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     row = rows[0]
-    assert set(row) == {"k", "r", "convolution_pct", "carry_pct"}
-    total = float(row["convolution_pct"]) + float(row["carry_pct"])
-    assert total == pytest.approx(100.0, abs=0.5)
+    steps = ("convolution_pct", "carry_pct", "boundary_pct")
+    assert set(row) == {"k", "r", *steps}
+    assert sum(float(row[s]) for s in steps) == pytest.approx(100.0, abs=0.5)
     assert float(row["carry_pct"]) > 0
+    assert float(row["boundary_pct"]) > 0
 
 
 def test_mult_count_closed_form():

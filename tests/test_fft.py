@@ -329,6 +329,22 @@ def test_transforms_reject_non_elements(kind):
     assert all(map(field.is_element, dft_general(list(v), plan, field)))
 
 
+@pytest.mark.parametrize("kind", ["intmod", "mont", "fft", "bigint"])
+def test_transforms_leave_v_unchanged_on_non_element(kind):
+    # a GF(p) field's checked decode is the input check: it raises
+    # before v is overwritten, as is_element does for the other fields
+    field, plan, v, bad_entries, _ = _transform_with_non_elements(kind)
+    for bad in bad_entries:
+        for pos in (0, len(v) // 2, len(v) - 1):
+            for transform in (dft_general, dft_inverse):
+                u = list(v)
+                u[pos] = bad
+                want = list(u)
+                with pytest.raises(ValueError):
+                    transform(u, plan, field)
+                assert u == want and all(a is b for a, b in zip(u, want))
+
+
 def test_dft_linearity():
     field = gf257()
     plan = build_plan(field, 8, 2, root_257(64))

@@ -1,5 +1,6 @@
 """Radix-digit field arithmetic checked against integer reduction mod p."""
 
+import ast
 import itertools
 import random
 
@@ -7,9 +8,9 @@ import pytest
 
 from gfpfft import gfp_mult
 from gfpfft.gfp_field import (
-    MAX_K, ConfigurationError, GfpParams, gfp_add, gfp_decode, gfp_encode,
-    gfp_find_nth_root, gfp_mul_pow_r, gfp_primitive_root, gfp_sub,
-    is_canonical,
+    MAX_K, STRAIGHT_LINE_K, ConfigurationError, GfpParams, gfp_add,
+    gfp_decode, gfp_encode, gfp_find_nth_root, gfp_mul_pow_r,
+    gfp_primitive_root, gfp_sub, is_canonical, radix_codec,
 )
 from gfpfft.gfp_mult import FftOperand, crt_default, gfp_mul_bigint, gfp_mul_fft
 
@@ -382,3 +383,134 @@ def test_shift_digits_is_the_ring_rotation(k, r):
             assert sorted(map(abs, v)) == sorted(x)
             want = sum(d * r ** i for i, d in enumerate(v))
             assert gfp_mul_pow_r(params, x, t) == gfp_encode(params, want)
+
+
+# the compiled radix codec against plain loop forms kept here
+
+def loop_encode(r, k, n):
+    # k sequential divmods by r; p - 1 = r^k is form B
+    p = r ** k + 1
+    n %= p
+    if n == p - 1:
+        return (0,) * (k - 1) + (r,)
+    digits = []
+    for _ in range(k):
+        n, d = divmod(n, r)
+        digits.append(d)
+    return tuple(digits)
+
+
+def loop_value(r, x):
+    # Horner's rule from the top digit
+    acc = 0
+    for d in reversed(x):
+        acc = acc * r + d
+    return acc
+
+
+def _check_codec(r, k, values):
+    codec = radix_codec(r, k)
+    p = r ** k + 1
+    for n in values:
+        x = codec.encode(n)
+        assert type(x) is tuple and x == loop_encode(r, k, n)
+        assert codec.value(x) == codec.decode(x) == loop_value(r, x) == n % p
+        assert codec.decode(list(x)) == n % p
+
+
+CODEC_SMALL_FIELDS = [(r, k) for k in (1, 2, 4) for r in range(2, 7)]
+
+
+@pytest.mark.parametrize("r,k", CODEC_SMALL_FIELDS)
+def test_codec_exhaustive_small_fields(r, k):
+    p = r ** k + 1
+    _check_codec(r, k, range(-4 * p, 4 * p + 1))
+
+
+@pytest.mark.parametrize("k", [8, 64, 128])
+def test_codec_seeded(k):
+    # k = 128 runs the loop form of the same split
+    assert (k > STRAIGHT_LINE_K) == (k == 128)
+    rng = random.Random(SEED ^ k)
+    for r in (2, 3, (1 << 59) + (1 << 16), 284903849103190610, (1 << 64) - 1):
+        p = r ** k + 1
+        values = [0, 1, r, p - 2, p - 1, p, -1, -p, 7 * p + 5, -(p << 70)]
+        values += [rng.randrange(p) for _ in range(40)]
+        values += [rng.randrange(-p << 40, p << 40) for _ in range(10)]
+        _check_codec(r, k, values)
+
+
+def _check_decode_matches_is_canonical(params, vectors):
+    codec = radix_codec(params.r, params.k)
+    for x in vectors:
+        if is_canonical(params, x):
+            assert codec.decode(x) == loop_value(params.r, x)
+        else:
+            with pytest.raises(ValueError, match="non-canonical"):
+                codec.decode(x)
+
+
+def _odd_vectors(params):
+    # short and long vectors, bool and float digits, a list and an
+    # FftOperand of form A and form B, and values that are no sequence
+    r, k = params.r, params.k
+    form_b = (0,) * (k - 1) + (r,)
+    one = (1,) + (0,) * (k - 1)
+    return [(0,) * (k - 1), (0,) * (k + 1), (1,) * (k + 1), (),
+            (True,) + (0,) * (k - 1), (0,) * (k - 1) + (False,),
+            (1.0,) + (0,) * (k - 1), (0,) * (k - 1) + (float(r),),
+            list(form_b), list(one), [r] + [0] * (k - 1),
+            FftOperand(params, crt_default(), one),
+            FftOperand(params, crt_default(), form_b),
+            form_b, (-1,) + (0,) * (k - 1), (0,) * (k - 1) + (r + 1,),
+            5, None, range(k), {i: 0 for i in range(k)}, "0" * k]
+
+
+@pytest.mark.parametrize("r,k", [(2, 1), (3, 2), (4, 2), (2, 4), (3, 4)])
+def test_codec_decode_checks_exactly_canonical(r, k):
+    params = GfpParams(r, k)
+    vectors = list(itertools.product(range(r + 2), repeat=k))
+    vectors += [list(x) for x in vectors]
+    _check_decode_matches_is_canonical(params, vectors + _odd_vectors(params))
+
+
+@pytest.mark.parametrize("k", [8, 128])
+def test_codec_decode_checks_exactly_canonical_wide(k):
+    # one bad digit at each position, at both ends of the range
+    params = GfpParams(10, k)
+    rng = random.Random(SEED ^ k)
+    good = [rng.randrange(10) for _ in range(k)]
+    vectors = [tuple(good)]
+    for i in range(k):
+        for bad in (-1, 10, 11, True, 0.0):
+            x = list(good)
+            x[i] = bad
+            vectors += [x, tuple(x)]
+    _check_decode_matches_is_canonical(params, vectors + _odd_vectors(params))
+
+
+def test_codec_is_cached_per_field():
+    assert radix_codec(10, 4) is radix_codec(10, 4)
+    assert radix_codec(10, 4) is not radix_codec(10, 8)
+    with pytest.raises(ValueError):
+        radix_codec(10, 3)
+    with pytest.raises(ValueError, match="int"):
+        radix_codec(10, 4).encode(2.5)
+
+
+@pytest.mark.parametrize("k", [1 << i for i in range(7)])
+def test_codec_is_straight_line(k):
+    # up to k = 64 the codec is compiled with no loop: k - 1 divmods by
+    # inlined powers of r, and no call but type, len and divmod, except
+    # the checked decode's fallback to is_canonical
+    assert k <= STRAIGHT_LINE_K
+    codec = radix_codec(5, k)
+    tree = ast.parse(codec.encode.source)
+    assert {fn.source for fn in codec} == {codec.encode.source}
+    assert not [n for n in ast.walk(tree)
+                if isinstance(n, (ast.For, ast.While, ast.comprehension))]
+    calls = [n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert calls.count("divmod") == k - 1
+    assert set(calls) <= {"type", "len", "divmod", "ValueError", "checked"}
+    assert radix_codec.cache_info().maxsize is not None
+    assert not hasattr(radix_codec(5, 2 * STRAIGHT_LINE_K).encode, "source")

@@ -314,7 +314,7 @@ def test_mul_profile_steps():
     x = gfp_encode(params, rng.randrange(params.p))
     y = gfp_encode(params, rng.randrange(params.p))
     gfp_mul_fft(params, crt, x, y, profile=profile)
-    assert set(profile) == {"convolution", "carry"}
+    assert set(profile) == {"convolution", "carry", "boundary"}
     assert all(t >= 0 for t in profile.values())
 
 
