@@ -4,9 +4,11 @@ The transform follows the factorization
 
     DFT_N = L_K^N (I_J x DFT_K) L_J^N D_{K,J} (I_K x DFT_J) L_K^N,  N = J*K,
 
-applied iteratively: a right-to-left cascade of stride permutations, one
-pass of K-point base cases, then per level a twiddle stage, a permutation,
-another base-case pass, and a closing permutation.  Base cases for
+applied iteratively.  Since L_K^N (I_J x DFT_K) L_J^N = DFT_K x I_J, only
+the input is permuted, by a right-to-left cascade of stride permutations;
+then each level t < e, with m = K^t, runs a twiddle stage (for t > 0) and
+one pass of K-point base cases on the strided lanes v[b+i::m] of every
+block b of K*m entries, i < m.  Base cases for
 K in {2, 4, ..., 64} are generated once by unrolling the radix-2 splitting
 of DFT_K into a flat list of dft2 / twiddle / swap steps, compiled as
 straight-line Python with unreduced butterflies and one reduction per
@@ -213,24 +215,26 @@ def _twiddle(root, q):
 
 
 def _base_template(q, K, args, tw_line):
-    # base(v, off, ...): DFT_K on v[off:off+K] mod q, one % q per output
-    return _generate("base", args, K, "v[off:off + %d]" % K, [], _BUTTERFLY,
-                     tw_line, lambda out: "v[off:off + %d] = %s" % (
-                         K, ", ".join("%s %% %d" % (a, q) for a in out)))
+    # base(v, off, s, ...): DFT_K mod q on the K entries v[off::s] from
+    # off on, written back in place with one % q per output
+    lanes = "v[off:off + %d * s:s]" % K
+    return _generate("base", args, K, lanes, [], _BUTTERFLY, tw_line,
+                     lambda out: "%s = %s" % (lanes, ", ".join(
+                         "%s %% %d" % (a, q) for a in out)))
 
 
 @lru_cache(maxsize=128)  # bounded: q and omega come from the caller
 def _int_base(q, K, omega):
-    # base(v, off) at the plain root omega; a DFT is linear, so on
+    # base(v, off, s) at the plain root omega; a DFT is linear, so on
     # Montgomery residues it returns the Montgomery form of the result
-    return _base_template(q, K, "v, off", _twiddle(omega, q))
+    return _base_template(q, K, "v, off, s", _twiddle(omega, q))
 
 
 @lru_cache(maxsize=128)  # bounded: p comes from the caller
 def _lazy_base(p, K):
-    # base(v, off, mul_pow) mod p, rotating by the field's mul_pow
-    return _base_template(p, K, "v, off, mul_pow",
-                       lambda a, t: "%s = mul_pow(%s, %d)" % (a, a, t))
+    # base(v, off, s, mul_pow) mod p, rotating by the field's mul_pow
+    return _base_template(p, K, "v, off, s, mul_pow",
+                          lambda a, t: "%s = mul_pow(%s, %d)" % (a, a, t))
 
 
 def convolution_kernels(q, k, theta):
@@ -283,9 +287,12 @@ def build_plan(field, K, e, omega):
     the field's root_power_mul_factory must accept the base root
     omega^(N/K) with count K; GfpFftField raises there unless K = 2k and
     the base root is r.  Both checks come before the twiddle table is
-    built, and K^e above MAX_N raises ConfigurationError before K^e is
-    computed.
+    built.  K and e must have type int, so a float or a bool raises
+    ValueError, and K^e above MAX_N raises ConfigurationError before K^e
+    is computed.
     """
+    if type(K) is not int or type(e) is not int:
+        raise ValueError("K and e must be ints")
     if K not in BASE_SIZES:
         raise ValueError("unsupported base-case size")
     if e < 1:
@@ -302,14 +309,17 @@ def build_plan(field, K, e, omega):
     return FftPlan(field, K, e, omega)
 
 
-def _base_pass(v, plan, field, mul_base):
+def _base_pass(v, plan, field, mul_base, m):
+    # I_(N/Km) x DFT_K x I_m: DFT_K on v[b+i::m] for every block b of K*m
+    # entries and every lane i < m
     K = plan.K
     if hasattr(field, "shift"):
         base, ops = _lazy_base(field.p, K), (mul_base,)
     else:
         base, ops = _int_base(field.p, K, field.decode(plan.omega_base)), ()
-    for j in range(0, plan.N, K):
-        base(v, j, *ops)
+    for b in range(0, plan.N, K * m):
+        for i in range(b, b + m):
+            base(v, i, m, *ops)
 
 
 def lap(profile, phase, t0):
@@ -322,12 +332,12 @@ def lap(profile, phase, t0):
 def dft_general(v, plan, field, profile=None):
     """In-place DFT of K^e points following the six-step schedule.
 
-    Raises ValueError, v unchanged, unless v holds K^e field elements.  A
-    field with shift runs on residues mod p: each element is decoded, and
-    so checked, once on entry and each value encoded once on exit.
-    profile, when given, accumulates wall time per phase: permutation,
-    basecase, twiddle and boundary (the element check, decode, reversal,
-    1/N scale and encode).
+    Raises ValueError, v unchanged, unless field is plan.field and v holds
+    K^e field elements.  A field with shift runs on residues mod p: each
+    element is decoded, and so checked, once on entry and each value
+    encoded once on exit.  profile, when given, accumulates wall time per
+    phase: permutation (the input cascade), basecase, twiddle and boundary
+    (the element check, decode, reversal, 1/N scale and encode).
     """
     return _transform(v, plan, field, profile)
 
@@ -341,6 +351,8 @@ def dft_inverse(v, plan, field, profile=None):
 def _transform(v, plan, field, profile, inverse=False):
     K, e, N = plan.K, plan.e, plan.N
     t0 = time.perf_counter() if profile is not None else 0
+    if field is not plan.field:
+        raise ValueError("field is not the plan's field")
     digits = hasattr(field, "shift")
     if len(v) != N or not (digits or all(map(field.is_element, v))):
         raise ValueError("v must hold K^e field elements")
@@ -358,34 +370,17 @@ def _transform(v, plan, field, profile, inverse=False):
         t0 = lap(profile, "permutation", t0)
 
     mul_base = field.root_power_mul_factory(plan.omega_base, K)
-    _base_pass(v, plan, field, mul_base)
-    if profile is not None:
-        t0 = lap(profile, "basecase", t0)
-
-    for i in range(e - 2, -1, -1):
-        size = K ** (e - i)
-        m = K ** (e - i - 1)
-        stride = K ** i
-
-        for j in range(0, N, size):
-            _twiddle_level_cheap(v, j, m, K, stride, plan.twiddle_table,
-                                 mul_base, field.mul)
-        if profile is not None:
-            t0 = lap(profile, "twiddle", t0)
-
-        for j in range(0, N, size):
-            stride_permutation(v, m, K, offset=j)
-        if profile is not None:
-            t0 = lap(profile, "permutation", t0)
-
-        _base_pass(v, plan, field, mul_base)
+    for t in range(e):
+        m = K ** t
+        if t:
+            for j in range(0, N, K * m):
+                _twiddle_level_cheap(v, j, m, K, N // (K * m),
+                                     plan.twiddle_table, mul_base, field.mul)
+            if profile is not None:
+                t0 = lap(profile, "twiddle", t0)
+        _base_pass(v, plan, field, mul_base, m)
         if profile is not None:
             t0 = lap(profile, "basecase", t0)
-
-        for j in range(0, N, size):
-            stride_permutation(v, K, m, offset=j)
-        if profile is not None:
-            t0 = lap(profile, "permutation", t0)
     if inverse:
         # v holds residues mod p, plain or Montgomery; a DFT is linear, so
         # the plain int 1/N scales either form

@@ -381,10 +381,11 @@ class GfpFftField(IntModField):
     operations return residues and take residues or digit tuples: mul
     dispatches, unchecked, to the FFT pipeline or to x*y % p according to
     backend; shift(x, t) = x * r^t is a multiply by the cached r^t mod p,
-    t <= 2k, and marks the field as one that fft runs on residues; pow
-    is unchecked too.  Power tables hold FftOperands or residues by backend.
-    root_power_mul_factory multiplies by powers of r with shift and
-    rejects any other base root or size.
+    t <= 2k, and marks the field as one that fft runs on residues.  pow
+    is IntModField's, whose checked decode raises ValueError for a base
+    that is not an element.  Power tables hold FftOperands or residues by
+    backend.  root_power_mul_factory multiplies by powers of r with shift
+    and rejects any other base root or size.
     """
 
     def __init__(self, params, crt=None, backend="fft"):
@@ -410,7 +411,6 @@ class GfpFftField(IntModField):
             self.mul = lambda x, y: ((x if type(x) is int else value(x))
                                      * (y if type(y) is int else value(y)) % p)
         self.shift = lambda x, t: (x if type(x) is int else value(x)) * powers[t] % p
-        self.pow = lambda a, e: encode(pow(value(a), e, p))
         self.shift_root = encode(params.r)
 
     def _prepared(self, a):

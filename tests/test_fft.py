@@ -3,6 +3,7 @@
 import ast
 import random
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 
@@ -12,8 +13,8 @@ from gfpfft.fft import (
     dft_general, dft_inverse, stride_permutation, twiddle_apply,
 )
 from gfpfft.gfp_field import (
-    MAX_K, ConfigurationError, GfpParams, gfp_decode, gfp_encode,
-    gfp_find_nth_root, gfp_primitive_root, is_canonical,
+    MAX_K, ConfigurationError, GfpParams, digits_value, gfp_decode,
+    gfp_encode, gfp_find_nth_root, gfp_primitive_root, is_canonical,
 )
 from gfpfft.gfp_mult import FftOperand, GfpFftField
 from gfpfft.oracle import oracle_is_probable_prime, oracle_naive_dft
@@ -244,6 +245,43 @@ def test_field_base_case_gfp_matches_naive(backend, k, r):
         assert dft_inverse(out, plan, field) == x
 
 
+@pytest.mark.parametrize("name", ["intmod", "mont", "fft-17", "bigint-17"])
+def test_base_pass_runs_base_case_on_strided_lanes(name):
+    # I x DFT_K x I_m: for m in 1, K, K^2, _base_pass runs DFT_K at the
+    # base root on the K entries v[b+i::m] of every block b of K*m
+    # entries, i < m, on residues as _transform hands them over:
+    # Montgomery residues for MontField, residues mod p for GF(r^k + 1)
+    if name == "intmod":
+        field, K = gf257(), 4
+        plan = build_plan(field, K, 1, root_257(K))
+    elif name == "mont":
+        ctx = word_prime(P1)
+        field, K = MontField(ctx), 8
+        plan = build_plan(field, K, 1, word_primitive_root(ctx, K))
+    else:
+        params = GfpParams(4, 2)
+        field, K = GfpFftField(params, backend=name.partition("-")[0]), 4
+        plan = build_plan(field, K, 1, gfp_root(params, K))
+    residue, value = (field.encode, field.decode) if name == "mont" else (int, int)
+    p, N = field.p, K ** 3
+    w = field.decode(plan.omega_base)
+    mul_base = field.root_power_mul_factory(plan.omega_base, K)
+    # _base_pass reads K, N and omega_base: N = K^3 holds one block of
+    # K^3 entries at m = K^2, also where K^3 does not divide p - 1
+    plan = SimpleNamespace(K=K, N=N, omega_base=plan.omega_base)
+    rng = random.Random(SEED ^ K)
+    for m in (1, K, K * K):
+        ints = [0, 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(N - 4)]
+        rng.shuffle(ints)
+        v = list(map(residue, ints))
+        fft._base_pass(v, plan, field, mul_base, m)
+        for b in range(0, N, K * m):
+            for i in range(b, b + m):
+                lanes = slice(i, b + K * m, m)
+                assert [value(x) for x in v[lanes]] == \
+                    oracle_naive_dft(ints[lanes], w, p)
+
+
 # ---------------------------------------------------------------------------
 # general transforms
 
@@ -323,7 +361,13 @@ def test_transforms_reject_non_elements(kind):
             with pytest.raises(ValueError):
                 dft_inverse(list(u), plan, field)
     for w in bad_roots:
-        assert field.pow(w, plan.N) == field.pow(plan.omega, plan.N)
+        if kind in ("fft", "bigint"):
+            # the root's value in a non-canonical form, which pow refuses
+            assert digits_value(field.params, w) == field.decode(plan.omega)
+            with pytest.raises(ValueError):
+                field.pow(w, plan.N)
+        else:
+            assert field.pow(w, plan.N) == field.pow(plan.omega, plan.N)
         with pytest.raises(ValueError):
             build_plan(field, plan.K, plan.e, w)
     assert all(map(field.is_element, dft_general(list(v), plan, field)))
@@ -343,6 +387,29 @@ def test_transforms_leave_v_unchanged_on_non_element(kind):
                 with pytest.raises(ValueError):
                     transform(u, plan, field)
                 assert u == want and all(a is b for a, b in zip(u, want))
+
+
+@pytest.mark.parametrize("kind", ["intmod", "mont", "fft", "bigint"])
+def test_transforms_run_only_on_the_plans_field(kind):
+    # a plan runs with the field object it was built over: an equal field
+    # built again, another kind, or IntModField(p) reading a MontField(p)
+    # plan's Montgomery root as a plain residue, raises with v unchanged
+    field, plan, v, _, _ = _transform_with_non_elements(kind)
+    if kind == "intmod":
+        again = IntModField(field.p)
+    elif kind == "mont":
+        again = MontField(field.ctx)
+    else:
+        again = GfpFftField(field.params, field.crt, backend=kind)
+    others = [again, IntModField(field.p)] + [
+        _transform_with_non_elements(other)[0]
+        for other in ("intmod", "mont", "fft", "bigint") if other != kind]
+    for other in others:
+        for transform in (dft_general, dft_inverse):
+            u = list(v)
+            with pytest.raises(ValueError, match="plan's field"):
+                transform(u, plan, other)
+            assert u == v and all(a is b for a, b in zip(u, v))
 
 
 def test_dft_linearity():
@@ -637,6 +704,15 @@ def test_plan_rejects_bad_parameters():
         build_plan(field, 8, 0, 3)
     with pytest.raises(ValueError):
         build_plan(field, 8, 2, 1)  # not a primitive 64th root
+
+
+@pytest.mark.parametrize("K,e", [(16, 2.0), (16, True), (16, "2"),
+                                 (16, None), (16.0, 2), (True, 2)])
+def test_plan_rejects_sizes_that_are_not_ints(K, e):
+    # 16.0 equals 16 and True equals 1, so only a type check refuses them
+    field = gf257()
+    with pytest.raises(ValueError, match="must be ints"):
+        build_plan(field, K, e, root_257(256))
 
 
 def test_plan_size_limit_raises_before_any_table():
