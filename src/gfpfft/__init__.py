@@ -17,8 +17,8 @@ from .gfp_mult import (ConfigurationError, CrtParams, FftOperand,
 from .fft import (IntModField, MontField, build_plan, dft_general,
                   dft_inverse, stride_permutation, twiddle_apply)
 from .word_field import (P1, P2, P3, WordPrime, mont_convert_in,
-                         mont_convert_out, mont_inv, mont_mul, word_pow,
-                         word_prime, word_primitive_root)
+                         mont_convert_out, mont_inv, mont_mul, word_prime,
+                         word_primitive_root)
 
 __version__ = "0.1.0"
 
@@ -32,6 +32,6 @@ __all__ = [
     "IntModField", "MontField", "build_plan", "dft_general", "dft_inverse",
     "stride_permutation", "twiddle_apply",
     "P1", "P2", "P3", "WordPrime", "mont_convert_in", "mont_convert_out",
-    "mont_inv", "mont_mul", "word_pow", "word_prime", "word_primitive_root",
+    "mont_inv", "mont_mul", "word_prime", "word_primitive_root",
     "__version__",
 ]

@@ -215,8 +215,7 @@ def _verify_checks(k, r, seed, samples):
     yield "lhc_recomposition", ok, detail
 
 
-def cmd_verify(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_verify(args, out):
     k = args.k
     r = _radix(args.r, k)
     failed = 0
@@ -251,8 +250,7 @@ def _pin_to_one_cpu():
         pass
 
 
-def cmd_bench_mul(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_bench_mul(args, out):
     _pin_to_one_cpu()
     ks, trials = args.k_list, args.trials
     radii = [_radix(args.r, k) for k in ks]  # raise before the header
@@ -339,8 +337,7 @@ def _mult_count(K, e):
     return total
 
 
-def cmd_bench_fft(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_bench_fft(args, out):
     _pin_to_one_cpu()
     Ks, es = args.K_list, args.e_list
     backends = [args.backend] if args.backend else list(BACKENDS)
@@ -389,8 +386,7 @@ def cmd_bench_fft(args, out=None):
     return 0
 
 
-def cmd_profile_mul(args, out=None):
-    out = sys.stdout if out is None else out
+def cmd_profile_mul(args, out):
     _pin_to_one_cpu()
     ks, trials = args.k_list, args.trials
     radii = [_radix(args.r, k) for k in ks]  # raise before the header

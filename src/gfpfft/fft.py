@@ -20,24 +20,28 @@ the DFT at omega^(-1) is the DFT at omega with outputs 1..N-1 reversed, so
 it reverses them and scales each residue by the plain int 1/N mod p.
 
 A field defines its element form, encode(int) -> element and
-decode(element) -> int, and its hot-path arithmetic: is_element, mul and
-root_power_mul_factory(omega, count), the closure x, t -> x*omega^t that
-the shift base cases and every twiddle stage use for powers of the
+decode(element) -> int, and its hot-path arithmetic: is_element,
+mul(x, c), which multiplies a transform residue x by a table entry c,
+and root_power_mul_factory(omega, count), the closure x, t -> x*omega^t
+that the shift base cases and every twiddle stage use for powers of the
 base root.  IntModField below defines both for plain residues mod a
-prime and, through encode and decode, does the plan-time math of every
-field once on native ints: pow, one and power_table.
-power_table(omega, count) is the field's cached list of omega^t, t <
-count, each in the form its mul takes fastest; plans take their twiddle
-table from it.  build_plan calls root_power_mul_factory once, before it
-asks for the twiddle table, so a field whose multiplier only works for
-some roots rejects the others first.  A
-field with shift, such as GF(r^k + 1) on digit tuples, is transformed on
-residues mod p: dft_general and dft_inverse decode each element once on
-entry and encode each value once on exit, and its mul and multiplier
-take and return residues in between.  Such a field's decode raises
-ValueError for a non-element, so it is those transforms' input check;
-the other fields' inputs, and every plan's root, are checked once with
-is_element.  The arithmetic underneath checks nothing.
+prime, mul(x, c) = x * c % p, and, through encode and decode, does the
+plan-time math of every field once on native ints: pow, one and
+power_table.  power_table(omega, count) is the field's cached list of
+the plain residues omega^t, t < count, each passed through the field's
+_prepared into the form its mul takes fastest; plans take their twiddle
+table from it.  MontField is an element codec only: a DFT is linear, so
+IntModField's arithmetic by plain-residue constants, run on Montgomery
+residues, gives the Montgomery form of the result.  build_plan calls
+root_power_mul_factory once, before it asks for the twiddle table, so a
+field whose multiplier only works for some roots rejects the others
+first.  A field with shift, such as GF(r^k + 1) on digit tuples, is
+transformed on residues mod p: dft_general and dft_inverse decode each
+element once on entry and encode each value once on exit, and its mul
+and multiplier take and return residues in between.  Such a field's
+decode raises ValueError for a non-element, so it is those transforms'
+input check; the other fields' inputs, and every plan's root, are
+checked once with is_element.  The arithmetic underneath checks nothing.
 
 Plans are immutable after construction and shareable; dft_general mutates
 exactly one caller-owned list.
@@ -48,7 +52,7 @@ from functools import lru_cache
 from operator import mul
 
 from .gfp_field import ConfigurationError
-from .word_field import mont_convert_in, mont_convert_out, mont_mul
+from .word_field import mont_convert_in, mont_mul
 
 BASE_SIZES = (2, 4, 8, 16, 32, 64)
 
@@ -84,23 +88,24 @@ def stride_permutation(v, m, n, offset=0):
 # ---------------------------------------------------------------------------
 # twiddle stage (the D_{K,J} operator)
 
-def twiddle_apply(v, m, n, omega_i, field, offset=0):
+def twiddle_apply(v, m, n, omega_i, field):
     """Multiply v[j*m + i] by omega_i^(i*j) for j < n blocks of m lanes.
 
     Exponents are never formed with a generic power: each block keeps a
     running row step omega_i^j and each lane multiplies the running factor
-    by it, so the stage costs O(m*n) multiplications.  A field with
-    shift multiplies into residues, and the lanes it changed are encoded
-    back into elements.  A standalone helper: dft_general does not
-    call it.
+    by it, so the stage costs O(m*n) multiplications.  The row runs on the
+    residue field.decode(omega_i), the form mul takes as its right
+    operand.  A field with shift multiplies into residues, and the lanes
+    it changed are encoded back into elements.  A standalone helper:
+    dft_general does not call it.
     """
     if m == 1:
         return v
     mul = field.mul
     digits = hasattr(field, "shift")
-    row = omega_i
+    step = row = field.decode(omega_i)
     for j in range(1, n):
-        base = offset + j * m
+        base = j * m
         w = row
         v[base + 1] = mul(v[base + 1], w)
         for i in range(2, m):
@@ -108,7 +113,7 @@ def twiddle_apply(v, m, n, omega_i, field, offset=0):
             v[base + i] = mul(v[base + i], w)
         if digits:
             v[base + 1:base + m] = map(field.encode, v[base + 1:base + m])
-        row = mul(row, omega_i)
+        row = mul(row, step)
     return v
 
 
@@ -399,11 +404,14 @@ def _transform(v, plan, field, profile, inverse=False):
 class IntModField:
     """Field view of Z/pZ on plain residues in [0, p) for the DFT machinery.
 
-    The base of the other fields, which define only their element form,
-    encode and decode, and their hot-path arithmetic: is_element, mul and
-    root_power_mul_factory.  pow, one and power_table are written once
-    here on native ints, and the _prepared hook puts a table entry in the
-    form mul takes fastest as its right operand.
+    The base of the other fields, which define their element form, encode
+    and decode, and may replace the hot-path arithmetic: is_element, mul
+    and root_power_mul_factory.  mul(x, c) multiplies a transform residue
+    x by a table entry c as x * c % p; the entry is a plain residue, so on
+    an encoding that is linear over Z/pZ, such as Montgomery form, x * c
+    is again in that encoding.  pow, one and power_table are written once
+    here on native ints, and the _prepared hook puts a plain residue from
+    a power table in the form mul takes fastest as its right operand.
     """
 
     def __init__(self, p):
@@ -432,14 +440,14 @@ class IntModField:
         return a
 
     def power_table(self, omega, count):
-        """[omega^t for t < count], cached, each entry _prepared."""
+        """[omega^t for t < count], cached: plain residues, each _prepared."""
         key = (omega, count)
         table = self._tables.get(key)
         if table is None:
             w, p, wt = self.decode(omega), self.p, 1
             table = self._tables[key] = []
             for _ in range(count):
-                table.append(self._prepared(self.encode(wt)))
+                table.append(self._prepared(wt))
                 wt = wt * w % p
         return table
 
@@ -455,7 +463,12 @@ class IntModField:
 
 
 class MontField(IntModField):
-    """Field view of Z/qZ on Montgomery residues for the DFT machinery."""
+    """Field view of Z/qZ on Montgomery residues a * 2^64 mod q.
+
+    An element codec only: encode and decode convert, and the transforms
+    run IntModField's arithmetic on the Montgomery residues, since a DFT
+    and its plain-residue twiddles are linear.
+    """
 
     def __init__(self, ctx):
         super().__init__(ctx.q)
@@ -465,7 +478,5 @@ class MontField(IntModField):
         return mont_convert_in(self.ctx, n % self.p)
 
     def decode(self, a):
-        return mont_convert_out(self.ctx, a)
-
-    def mul(self, a, b):
-        return mont_mul(self.ctx, a, b)
+        # mont_convert_out inlined: perfbench/spans.py counts fft.mont_mul
+        return mont_mul(self.ctx, a, 1)

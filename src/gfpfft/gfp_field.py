@@ -21,9 +21,8 @@ loops run the same split.
 
 is_canonical defines a valid element.  Every public operation checks each
 operand with it once and raises ValueError; the checked decode does so
-inline for form A and falls back to it otherwise.  The digit loops
-underneath, add_digits and sub_digits, and the codec's value trust their
-input.
+inline for form A and falls back to it otherwise.  The codec's value
+trusts its input.
 
 GfpParams is immutable and shareable; all operations return fresh tuples.
 """
@@ -209,11 +208,6 @@ def gfp_add(params, x, y):
     """
     check_canonical(params, x)
     check_canonical(params, y)
-    return add_digits(params, x, y)
-
-
-def add_digits(params, x, y):
-    """gfp_add without the checks, for canonical elements."""
     r, k = params.r, params.k
     z = []
     carry = 0
@@ -243,11 +237,6 @@ def gfp_sub(params, x, y):
     Raises ValueError unless x and y are canonical."""
     check_canonical(params, x)
     check_canonical(params, y)
-    return sub_digits(params, x, y)
-
-
-def sub_digits(params, x, y):
-    """gfp_sub without the checks, for canonical elements."""
     r, k = params.r, params.k
     z = []
     borrow = 0

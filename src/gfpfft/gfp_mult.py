@@ -47,9 +47,9 @@ from .fft import (BASE_SIZES, IntModField, build_plan, convolution_kernels,
 # gfp_add, gfp_sub and gfp_mul_pow_r are not called here; they stay module
 # globals because perfbench/spans.py traces the add/sub and shift layers
 # through them
-from .gfp_field import (ConfigurationError, check_canonical, digits_value,
-                        gfp_add, gfp_encode, gfp_mul_pow_r, gfp_sub,
-                        is_canonical, radix_codec)
+from .gfp_field import (ConfigurationError, GfpParams, check_canonical,
+                        digits_value, gfp_add, gfp_encode, gfp_mul_pow_r,
+                        gfp_sub, is_canonical, radix_codec)
 from .word_field import P1, P2, P3, find_nth_root, word_prime
 
 
@@ -224,7 +224,9 @@ class ConvolutionPlan:
         self.fwd, self.inv = fwd, inv
 
 
-_nega_plan = lru_cache(maxsize=None)(ConvolutionPlan)
+# bounded: primes and k come from the caller, and each plan holds
+# compiled kernels
+_nega_plan = lru_cache(maxsize=64)(ConvolutionPlan)
 
 
 def negacyclic_convolution(x, y, ctx, k):
@@ -244,17 +246,18 @@ def negacyclic_convolution(x, y, ctx, k):
 # the two multipliers
 
 _LIBRARY_PRIMES = (P1, P2, P3)
-_resolved = {}
 
 
 def _resolve(params, crt):
     # (the prime set the multiplier runs over for crt, its plan)
-    key = (params.r, params.k, crt.primes)
-    found = _resolved.get(key)
-    if found is None:
-        wider = _extend_crt(params, crt)
-        found = _resolved[key] = (wider, _nega_plan(wider.primes, params.k))
-    return found
+    return _resolved(params.r, params.k, crt.primes)
+
+
+@lru_cache(maxsize=64)  # bounded: r, k and the primes come from the caller
+def _resolved(r, k, primes):
+    params = GfpParams(r, k)
+    wider = _extend_crt(params, CrtParams.make(*primes))
+    return wider, _nega_plan(wider.primes, k)
 
 
 def _extend_crt(params, crt):
@@ -383,8 +386,9 @@ class GfpFftField(IntModField):
     backend; shift(x, t) = x * r^t is a multiply by the cached r^t mod p,
     t <= 2k, and marks the field as one that fft runs on residues.  pow
     is IntModField's, whose checked decode raises ValueError for a base
-    that is not an element.  Power tables hold FftOperands or residues by
-    backend.  root_power_mul_factory multiplies by powers of r with shift
+    that is not an element.  _prepared turns a power table's residue into
+    an FftOperand on the fft backend and keeps it on the bigint one.
+    root_power_mul_factory multiplies by powers of r with shift
     and rejects any other base root or size.
     """
 
@@ -415,8 +419,8 @@ class GfpFftField(IntModField):
 
     def _prepared(self, a):
         if self.backend == "fft":
-            return FftOperand(self.params, self.crt, a)
-        return self.decode(a)
+            return FftOperand(self.params, self.crt, self.encode(a))
+        return a
 
     def root_power_mul_factory(self, omega, count):
         """x, t -> x * omega^t as a residue through shift, t < count.

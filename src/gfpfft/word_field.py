@@ -106,25 +106,12 @@ def mont_convert_out(ctx, a):
     return mont_mul(ctx, a, 1)
 
 
-def word_pow(ctx, a, e):
-    """a^e in Montgomery form, square and multiply."""
-    if e < 0:
-        raise ValueError("exponent must be non-negative")
-    acc = ctx.one_mont
-    base = a
-    while e:
-        if e & 1:
-            acc = mont_mul(ctx, base, acc)
-        base = mont_mul(ctx, base, base)
-        e >>= 1
-    return acc
-
-
 def mont_inv(ctx, a):
-    """Inverse by Fermat exponentiation with q - 2."""
-    if a == 0:
+    """Inverse of a Montgomery residue, by native pow on its plain value."""
+    n = mont_convert_out(ctx, a)
+    if n == 0:
         raise ZeroDivisionError("zero has no inverse")
-    return word_pow(ctx, a, ctx.q - 2)
+    return mont_convert_in(ctx, pow(n, -1, ctx.q))
 
 
 def find_nth_root(m, n, seed=0):

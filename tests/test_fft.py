@@ -104,17 +104,23 @@ def test_stride_permutation_length_check():
         stride_permutation(list(range(7)), 2, 4)
 
 
-def test_twiddle_apply_powers():
-    field = gf257()
-    w = root_257(16)
+@pytest.mark.parametrize("kind", ["intmod", "mont"])
+def test_twiddle_apply_powers(kind):
+    # over MontField both the lanes and omega_i are Montgomery residues;
+    # each lane is checked after decoding
+    if kind == "intmod":
+        field, p, w = gf257(), 257, root_257(16)
+    else:
+        field, p, w = MontField(word_prime(P1)), P1, find_nth_root(P1, 16)
     rng = random.Random(SEED)
     m, n = 4, 4
-    v = [rng.randrange(257) for _ in range(m * n)]
-    got = list(v)
-    twiddle_apply(got, m, n, w, field)
+    v = [rng.randrange(p) for _ in range(m * n)]
+    got = list(map(field.encode, v))
+    twiddle_apply(got, m, n, field.encode(w), field)
     for j in range(n):
         for i in range(m):
-            assert got[j * m + i] == v[j * m + i] * pow(w, i * j, 257) % 257
+            want = v[j * m + i] * pow(w, i * j, p) % p
+            assert field.decode(got[j * m + i]) == want
 
 
 def test_twiddle_diagonal_structure():
@@ -735,13 +741,15 @@ def test_plan_size_limit_raises_before_any_table():
 
 
 def test_montfield_adapter_operations():
+    # mul takes a Montgomery residue and a plain table constant and
+    # returns the Montgomery residue of the product
     ctx = word_prime(P1)
     field = MontField(ctx)
     rng = random.Random(SEED)
     for _ in range(200):
         a, b = rng.randrange(P1), rng.randrange(P1)
-        am, bm = mont_convert_in(ctx, a), mont_convert_in(ctx, b)
-        assert mont_convert_out(ctx, field.mul(am, bm)) == a * b % P1
+        am = mont_convert_in(ctx, a)
+        assert mont_convert_out(ctx, field.mul(am, b)) == a * b % P1
     assert mont_convert_out(ctx, field.one()) == 1
     x = mont_convert_in(ctx, 12345)
     assert mont_convert_out(ctx, field.pow(x, 7)) == pow(12345, 7, P1)
@@ -767,6 +775,6 @@ def test_field_plan_math_matches_native_ints(kind):
         gfp_decode(field.params, gfp_root(field.params, N))
     plan = build_plan(field, K, e, field.encode(w))
     table = field.power_table(plan.omega, 20)
-    # the bigint backend keeps table entries as residues
-    value = (lambda t: t) if kind == "bigint" else field.decode
+    # table entries are plain residues, except the fft backend's operands
+    value = field.decode if kind == "fft" else (lambda t: t)
     assert [value(t) for t in table] == [pow(w, t, p) for t in range(20)]

@@ -15,7 +15,7 @@ from gfpfft.gfp_field import (
 )
 from gfpfft.gfp_mult import (
     ConfigurationError, CrtParams, FftOperand, GfpFftField, _nega_plan,
-    _resolve, check_prime_compat, crt_combine, crt_default,
+    _resolve, _resolved, check_prime_compat, crt_combine, crt_default,
     gfp_mul_bigint, gfp_mul_fft, lhc_decompose, negacyclic_convolution,
 )
 from gfpfft.oracle import oracle_mod_mul, oracle_negacyclic
@@ -398,6 +398,24 @@ def test_mul_runs_one_convolution(r, n_primes, monkeypatch):
     calls.clear()
     assert gfp_mul_fft(params, crt, x, prepared) == want
     assert calls == {"fwd": 1, "inv": 1}
+
+
+def test_multiplier_caches_are_bounded():
+    # the per-field resolution and the convolution plans are bounded
+    # caches: after more distinct fields than the bound, the resolution
+    # cache holds no more than its bound, and products, of an evicted
+    # field too, still match the bigint product
+    bound = _resolved.cache_info().maxsize
+    assert bound is not None and _nega_plan.cache_info().maxsize is not None
+    crt = crt_default()
+    rng = random.Random(SEED)
+    fields = [GfpParams(r, 2) for r in range(3, bound + 13)]
+    for params in fields + fields[:1]:
+        x = gfp_encode(params, rng.randrange(params.p))
+        y = gfp_encode(params, rng.randrange(params.p))
+        assert gfp_mul_fft(params, crt, x, y) == gfp_mul_bigint(params, x, y)
+    info = _resolved.cache_info()
+    assert info.currsize <= info.maxsize == bound
 
 
 def test_fft_operand_over_other_primes_falls_back():

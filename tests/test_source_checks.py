@@ -47,3 +47,17 @@ def test_library_imports_only_names_it_uses():
                   for name, line in sorted(imported.items())
                   if name not in used and name not in allowed]
     assert not found, "unused imports in src/gfpfft: %s" % ", ".join(found)
+
+
+def test_all_lists_exactly_the_package_imports():
+    # __all__ is the names __init__ imports plus __version__, each once,
+    # and each resolves on the package, so a name a module drops must
+    # leave both lists
+    import gfpfft
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {alias.asname or alias.name for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert len(set(gfpfft.__all__)) == len(gfpfft.__all__)
+    assert set(gfpfft.__all__) == imported | {"__version__"}
+    missing = [name for name in gfpfft.__all__ if not hasattr(gfpfft, name)]
+    assert not missing, "unresolved names in __all__: %s" % ", ".join(missing)

@@ -8,7 +8,7 @@ import pytest
 from gfpfft.oracle import oracle_is_probable_prime
 from gfpfft.word_field import (
     MASK64, P1, P2, P3, WordPrime, mont_convert_in, mont_convert_out,
-    mont_inv, mont_mul, word_pow, word_prime, word_primitive_root,
+    mont_inv, mont_mul, word_prime, word_primitive_root,
 )
 
 SEED = 0x77F0
@@ -86,36 +86,23 @@ def test_mont_convert_roundtrip():
         mont_convert_in(ctx, -1)
 
 
-@pytest.mark.parametrize("q", [P1, P2])
-def test_word_pow(q):
-    ctx = word_prime(q)
-    rng = random.Random(SEED)
-    for _ in range(300):
-        a = rng.randrange(1, q)
-        e = rng.randrange(1 << 70)
-        am = mont_convert_in(ctx, a)
-        assert mont_convert_out(ctx, word_pow(ctx, am, e)) == pow(a, e, q)
-    assert word_pow(ctx, mont_convert_in(ctx, 5), 0) == ctx.one_mont
-    with pytest.raises(ValueError):
-        word_pow(ctx, ctx.one_mont, -1)
-
-
 def test_mont_inv():
     ctx = word_prime(P1)
     rng = random.Random(SEED)
     for _ in range(2000):
         am = mont_convert_in(ctx, rng.randrange(1, P1))
         assert mont_mul(ctx, am, mont_inv(ctx, am)) == ctx.one_mont
-    with pytest.raises(ZeroDivisionError):
-        mont_inv(ctx, 0)
+    for zero in (0, P1):
+        with pytest.raises(ZeroDivisionError):
+            mont_inv(ctx, zero)
 
 
 @pytest.mark.parametrize("q,n", [(P1, 1 << 10), (P2, 1 << 8), (P1, 2)])
 def test_word_primitive_root_order(q, n):
     ctx = word_prime(q)
-    g = word_primitive_root(ctx, n)
-    assert word_pow(ctx, g, n) == ctx.one_mont
-    assert word_pow(ctx, g, n // 2) == mont_convert_in(ctx, q - 1)
+    g = mont_convert_out(ctx, word_primitive_root(ctx, n))
+    assert pow(g, n, q) == 1
+    assert pow(g, n // 2, q) == q - 1
 
 
 def test_word_primitive_root_deterministic():
