@@ -29,7 +29,7 @@ from functools import partial
 
 from . import gfp_field, gfp_mult, oracle
 from .fft import IntModField, base_case_ops, build_plan, dft_general
-from .gfp_field import GfpParams, gfp_decode, gfp_encode
+from .gfp_field import MAX_K, GfpParams, gfp_decode, gfp_encode
 from .word_field import word_prime
 
 # radices with r^k + 1 prime that fit the default prime pair; no sparse
@@ -114,6 +114,9 @@ def read_gfpv(path):
     version, k, r, count = struct.unpack_from("<IQQQ", data, 4)
     if version != 1:
         raise GfpvFormatError("unsupported version %d" % version)
+    # before the row loop: k = 0 passes the length check for any count
+    if not 0 < k <= MAX_K or k & (k - 1) or r < 2:
+        raise GfpvFormatError("bad field k=%d r=%d" % (k, r))
     need = 32 + count * k * 8
     if len(data) != need:
         raise GfpvFormatError("truncated payload: %d != %d bytes" % (len(data), need))
@@ -139,18 +142,21 @@ def _verify_checks(k, r, seed, samples):
         len(crt.primes), report.slack)
 
     ok, detail = True, ""
+    failing = None
     for _ in range(samples):
         a, b = rng.randrange(params.p), rng.randrange(params.p)
         x, y = gfp_encode(params, a), gfp_encode(params, b)
         s = gfp_field.gfp_add(params, x, y)
         if gfp_decode(params, s) != (a + b) % params.p:
             ok, detail = False, "add counterexample a=%d b=%d" % (a, b)
+            failing = (x, y)
             break
         d = gfp_field.gfp_sub(params, x, y)
         if gfp_decode(params, d) != (a - b) % params.p:
             ok, detail = False, "sub counterexample a=%d b=%d" % (a, b)
+            failing = (x, y)
             break
-    yield "add_sub_vs_integers", ok, detail
+    yield "add_sub_vs_integers", ok, detail, failing
 
     ok, detail = True, ""
     for _ in range(max(1, samples // 4)):

@@ -69,9 +69,8 @@ def stride_permutation(v, m, n, offset=0):
 
     Element j*m + i moves to position i*n + j: column i of the view is the
     extended slice [i::m], and the columns are laid out one after another.
-    With an offset the permutation applies to the m*n block starting there;
-    deep recursion hits blocks at offset 0 that are shorter than the whole
-    vector.
+    With an offset the permutation applies to the m*n block starting there,
+    and v may extend past that block on either side.
     """
     if len(v) < offset + m * n:
         raise ValueError("vector length must equal m*n")

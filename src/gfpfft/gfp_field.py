@@ -6,23 +6,25 @@ the coefficient of r^i.  Two canonical shapes exist:
   form A: every digit in [0, r), covering the values 0 .. p-2;
   form B: top digit equal to r, all others zero, the unique encoding of p-1.
 
-Addition and subtraction run in O(k) digit operations with
-conditional-subtract carries.  Multiplication by a power of r evaluates
-the element, multiplies by r^i mod p and re-encodes: transforms over
-GF(p) run on residues mod p, where a power of r is one cached constant.
+settle carries k signed coefficients into an element in one pass, the
+carry out of the top re-entering at r^0 negated since r^k = -1:
+addition and subtraction settle the digit-wise sum and difference, and
+gfp_mult settles a convolution's coefficients.  Multiplication by a
+power of r evaluates the element, multiplies by r^i mod p and
+re-encodes: transforms over GF(p) run on residues mod p, where a power
+of r is one cached constant.
 
-Conversions between residues and digits run on radix_codec(r, k), three
+Conversions between residues and digits run on radix_codec(r, k), four
 functions compiled once per field: encode reduces mod p and splits by
 r^(k/2), then r^(k/4), ... down to r (divide-and-conquer radix conversion,
 Brent and Zimmermann, Modern Computer Arithmetic, 1.7), value evaluates
-the digits pairwise, and decode is value behind the element check.  Up to
-k = 64 they are straight-line code with the powers of r inlined; above,
-loops run the same split.
+the digits pairwise, is_element is the element test and decode is value
+behind that same test.  Up to k = 64 they are straight-line code with the
+powers of r inlined; above, loops run the same split and test.
 
-is_canonical defines a valid element.  Every public operation checks each
-operand with it once and raises ValueError; the checked decode does so
-inline for form A and falls back to it otherwise.  The codec's value
-trusts its input.
+The codec's is_element defines a valid element, and is_canonical and
+check_canonical read it.  Every public operation checks each operand
+once and raises ValueError.  The codec's value trusts its input.
 
 GfpParams is immutable and shareable; all operations return fresh tuples.
 """
@@ -30,6 +32,7 @@ GfpParams is immutable and shareable; all operations return fresh tuples.
 from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import add, sub
 
 from .word_field import find_nth_root
 
@@ -70,20 +73,13 @@ class GfpParams:
 
 
 def is_canonical(params, x):
-    """True iff x is a tuple or a list of k digits of type int in form A
-    or B; a subclass such as FftOperand counts as its base."""
-    if (not isinstance(x, (tuple, list)) or len(x) != params.k
-            or not {int}.issuperset(map(type, x))):
-        return False
-    r = params.r
-    if min(x) >= 0 and max(x) < r:
-        return True
-    return x[-1] == r and not any(x[:-1])
+    """True iff x is an element of the field: see radix_codec."""
+    return radix_codec(params.r, params.k).is_element(x)
 
 
 def check_canonical(params, x):
     """Raise ValueError unless x is a canonical element."""
-    if not is_canonical(params, x):
+    if not radix_codec(params.r, params.k).is_element(x):
         raise ValueError("non-canonical element")
 
 
@@ -103,7 +99,7 @@ def gfp_encode(params, n):
     return radix_codec(params.r, params.k).encode(n)
 
 
-RadixCodec = namedtuple("RadixCodec", "encode value decode")
+RadixCodec = namedtuple("RadixCodec", "encode value decode is_element")
 
 # the largest k whose codec is compiled straight-line; above it, loops
 STRAIGHT_LINE_K = 64
@@ -113,20 +109,16 @@ STRAIGHT_LINE_K = 64
 def radix_codec(r, k):
     """The conversions of GF(r^k + 1), compiled once: encode(n) is the
     canonical element of n mod p and raises ValueError unless n is an
-    int; value(x) is the int of k digits, unchecked; decode(x) is the
-    value of a canonical element and raises ValueError for anything
-    else."""
+    int; value(x) is the int of k digits, unchecked; is_element(x) is
+    true iff x is a tuple or a list (a subclass such as FftOperand
+    included) of k digits of type int, so no bool, in form A or B;
+    decode(x) is the value of such an x and raises ValueError for
+    anything else."""
     params = GfpParams(r, k)
     p = params.p
     # the split widths k/2, k/4, ..., 1: 2w digits divide by r^w into two
-    # halves of w
+    # halves of w; p - 1 = r^k splits into form B by itself
     widths = [k >> s for s in range(1, k.bit_length())]
-    form_b = (0,) * (k - 1) + (r,)
-
-    def checked(x):
-        if not is_canonical(params, x):
-            raise ValueError("non-canonical element")
-        return value(x)
 
     if k > STRAIGHT_LINE_K:
         powers = [r ** w for w in widths]
@@ -134,10 +126,7 @@ def radix_codec(r, k):
         def encode(n):
             if type(n) is not int:
                 raise ValueError("n must be an int")
-            n %= p
-            if n == p - 1:
-                return form_b
-            parts = [n]
+            parts = [n % p]
             for power in powers:
                 parts = [d for t in parts for d in divmod(t, power)[::-1]]
             return tuple(parts)
@@ -147,7 +136,20 @@ def radix_codec(r, k):
                 x = [a + b * power for a, b in zip(x[::2], x[1::2])]
             return x[0]
 
-        return RadixCodec(encode, value, checked)
+        def is_element(x):
+            if (not isinstance(x, (tuple, list)) or len(x) != k
+                    or not {int}.issuperset(map(type, x))):
+                return False
+            if min(x) >= 0 and max(x) < r:
+                return True
+            return x[-1] == r and not any(x[:-1])
+
+        def decode(x):
+            if not is_element(x):
+                raise ValueError("non-canonical element")
+            return value(x)
+
+        return RadixCodec(encode, value, decode, is_element)
 
     names = ["a%d" % i for i in range(k)]
     digits = "%s," % ", ".join(names)
@@ -165,98 +167,82 @@ def radix_codec(r, k):
     split = ["%s, %s = divmod(%s, %#x)" % (names[lo + w], names[lo],
                                            names[lo], r ** w)
              for w in widths for lo in range(0, k, 2 * w)]
-    # 0 <= a0 < r > a1 >= 0 <= a2 < r > ...: every digit in [0, r)
-    bounds = " ".join(["0"] + ["<= %s < %#x" % (a, r) if i % 2 == 0
+    # form A: 0 <= a0 < r > a1 >= 0 <= a2 < r > ..., every digit in [0, r);
+    # form B: the top digit r over zeros, whose value is r^k = p - 1
+    form_a = " ".join(["0"] + ["<= %s < %#x" % (a, r) if i % 2 == 0
                                else "> %s >= 0" % a
                                for i, a in enumerate(names)])
-    scope = {"checked": checked}
+    form_b = "%s == %#x and not (%s)" % (names[-1], r,
+                                         " or ".join(names[:-1]) or "0")
+    # the element test, shared by is_element and decode
+    test = [
+        "    if isinstance(x, sequence) and len(x) == %d:" % k,
+        "        %s = x" % digits,
+        "        if int is %s and (%s or %s):" % (
+            " is ".join("type(%s)" % a for a in names), form_a, form_b)]
+    # a prebuilt pair: isinstance(x, (tuple, list)) builds it per call
+    scope = {"sequence": (tuple, list)}
     source = "\n".join([
         "def encode(n):",
         "    if type(n) is not int:",
         "        raise ValueError('n must be an int')",
         "    a0 = n %% %#x" % p,
-        "    if a0 == %#x:" % (p - 1),
-        "        return %r" % (form_b,),
         *("    " + line for line in split),
         "    return (%s)" % digits,
         "def value(x):",
         "    %s = x" % digits,
         "    return %s" % pairwise(0, k),
+        "def is_element(x):",
+        *test,
+        "            return True",
+        "    return False",
         "def decode(x):",
-        "    if (type(x) is tuple or type(x) is list) and len(x) == %d:" % k,
-        "        %s = x" % digits,
-        "        if int is %s and %s:" % (
-            " is ".join("type(%s)" % a for a in names), bounds),
+        *test,
         "            return %s" % pairwise(0, k),
-        "    return checked(x)",
+        "    raise ValueError('non-canonical element')",
         ""])
     exec(compile(source, "<radix_codec r=%d k=%d>" % (r, k), "exec"), scope)
-    value = scope["value"]  # the name checked calls
-    codec = RadixCodec(scope["encode"], value, scope["decode"])
+    codec = RadixCodec(*(scope[name] for name in RadixCodec._fields))
     for fn in codec:
         fn.source = source
     return codec
 
 
-def gfp_add(params, x, y):
-    """x + y mod p with conditional-subtract carries.
+def settle(params, u):
+    """The element sum(u[i] * r^i) mod p of k signed ints u, the library's
+    one digit normaliser.
 
-    A carry surviving the top digit means the plain sum reached r^k; the
-    fixup borrows one from the lowest non-zero digit (setting the digits
-    below it to r-1), and the all-zero case is exactly r^k = p - 1.
-    Raises ValueError unless x and y are canonical.
+    One floor divmod per coefficient carries it into digit i.  The carry
+    c out of the top sits at r^k = -1, so -c comes back in at r^0; a
+    carry c past the top again stands for -c and goes through the value.
     """
-    check_canonical(params, x)
-    check_canonical(params, y)
     r, k = params.r, params.k
     z = []
-    carry = 0
-    for i in range(k):
-        s = x[i] + y[i] + carry
-        if s >= r:
-            s -= r
-            carry = 1
-        else:
-            carry = 0
-        z.append(s)
-    if carry:
-        for i0 in range(k):
-            if z[i0]:
-                for j in range(i0):
-                    z[j] = r - 1
-                z[i0] -= 1
-                break
-        else:
-            return (0,) * (k - 1) + (r,)
-    return tuple(z)
+    c = 0
+    for v in u:
+        c, d = divmod(v + c, r)
+        z.append(d)
+    c, i = -c, 0
+    while c and i < k:
+        c, z[i] = divmod(z[i] + c, r)
+        i += 1
+    return gfp_encode(params, digits_value(params, z) - c) if c else tuple(z)
+
+
+def gfp_add(params, x, y):
+    """x + y mod p: the digit-wise sum, settled.  Raises ValueError unless
+    x and y are canonical."""
+    check_canonical(params, x)
+    check_canonical(params, y)
+    return settle(params, map(add, x, y))
 
 
 def gfp_sub(params, x, y):
-    """x - y mod p.  A borrow out of the top digit is repaid with +1,
-    since the digit loop computed x - y + r^k and r^k = -1 mod p.
-    Raises ValueError unless x and y are canonical."""
+    """x - y mod p: the digit-wise difference, settled.  Raises ValueError
+    unless x and y are canonical."""
     check_canonical(params, x)
     check_canonical(params, y)
-    r, k = params.r, params.k
-    z = []
-    borrow = 0
-    for i in range(k):
-        d = x[i] - y[i] - borrow
-        if d < 0:
-            d += r
-            borrow = 1
-        else:
-            borrow = 0
-        z.append(d)
-    if borrow:
-        for i in range(k):
-            if z[i] + 1 < r:
-                z[i] += 1
-                break
-            z[i] = 0
-        else:
-            return (0,) * (k - 1) + (r,)
-    return tuple(z)
+    return settle(params, map(sub, x, y))
 
 
 def gfp_mul_pow_r(params, x, i):

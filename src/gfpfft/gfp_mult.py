@@ -3,9 +3,9 @@
 Two interchangeable pipelines compute x*y for canonical digit vectors:
 
   gfp_mul_fft     one negacyclic convolution of the digits modulo M, the
-                  product of the word primes of a CRT set, then one
-                  signed carry pass over the lifted coefficients, whose
-                  carry out of the top re-enters at r^0 negated.
+                  product of the word primes of a CRT set, then
+                  gfp_field.settle of the coefficients lifted to
+                  (-M/2, M/2), the library's one carry pass.
   gfp_mul_bigint  evaluate at r, multiply as arbitrary-precision integers,
                   reduce mod p, re-encode.
 
@@ -48,8 +48,8 @@ from .fft import (BASE_SIZES, IntModField, build_plan, convolution_kernels,
 # globals because perfbench/spans.py traces the add/sub and shift layers
 # through them
 from .gfp_field import (ConfigurationError, GfpParams, check_canonical,
-                        digits_value, gfp_add, gfp_encode, gfp_mul_pow_r,
-                        gfp_sub, is_canonical, radix_codec)
+                        gfp_add, gfp_encode, gfp_mul_pow_r, gfp_sub,
+                        radix_codec, settle)
 from .word_field import P1, P2, P3, find_nth_root, word_prime
 
 
@@ -299,7 +299,7 @@ class FftOperand(tuple):
 
 def gfp_mul_fft(params, crt, x, y, profile=None):
     """x*y via one convolution mod the product of the CRT primes and
-    one signed carry pass over its coefficients.
+    one settle of its coefficients.
 
     The primes are crt's when check_prime_compat passes for them, else
     crt's plus the fewest library primes that make it pass;
@@ -311,8 +311,7 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
     keys convolution (the compiled kernels: theta-weighting, transforms,
     pointwise product, unweighting and 1/k; the CRT itself is in the
     plan's constants), carry (the signed lift of each coefficient from
-    [0, M), the carry pass and the settle of the carry out at r^k = -1)
-    and boundary (the two operand checks).
+    [0, M) and their settle) and boundary (the two operand checks).
     """
     t0 = time.perf_counter() if profile is not None else 0
     check_canonical(params, x)
@@ -341,19 +340,7 @@ def _mul_fft(params, crt, x, y, profile=None, digits=False):
     # coefficient i is the signed lift of zs[i] from [0, M), at r^i
     m, half, r = crt.modulus, crt.half_range, params.r
     if digits:
-        # one floor divmod per coefficient carries it into digit i; the
-        # carry c out of the top sits at r^k = -1, so -c comes back in at
-        # r^0, and a carry c past the top again stands for -c
-        u = []
-        c = 0
-        for v in zs:
-            c, d = divmod((v - m if v > half else v) + c, r)
-            u.append(d)
-        c, i = -c, 0
-        while c and i < params.k:
-            c, u[i] = divmod(u[i] + c, r)
-            i += 1
-        z = gfp_encode(params, digits_value(params, u) - c) if c else tuple(u)
+        z = settle(params, [v - m if v > half else v for v in zs])
     else:
         # Horner's rule at r, one reduction mod p
         z = 0
@@ -404,7 +391,7 @@ class GfpFftField(IntModField):
         codec = radix_codec(params.r, params.k)
         self.encode = encode = codec.encode
         self.decode = codec.decode
-        self.is_element = partial(is_canonical, params)
+        self.is_element = codec.is_element
         # unchecked cores: the field's own elements are canonical
         value = codec.value
         p = params.p

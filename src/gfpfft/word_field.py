@@ -11,6 +11,7 @@ immutable and safe to share; all operations are pure functions.
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 MASK64 = (1 << 64) - 1
 
@@ -75,15 +76,10 @@ class WordPrime:
         return cls(q, q_neg_inv, (1 << 128) % q, (1 << 64) % q)
 
 
-_word_prime_cache = {}
-
-
+@lru_cache(maxsize=64)  # bounded: q comes from the caller
 def word_prime(q):
     """Shared WordPrime instance for q."""
-    ctx = _word_prime_cache.get(q)
-    if ctx is None:
-        ctx = _word_prime_cache[q] = WordPrime.make(q)
-    return ctx
+    return WordPrime.make(q)
 
 
 def mont_mul(ctx, a, b):

@@ -1,10 +1,11 @@
 """Command-line front end: radix parsing, GFPV files, subcommands."""
 
 import csv
+import struct
 
 import pytest
 
-from gfpfft import bench_cli
+from gfpfft import bench_cli, gfp_field
 from gfpfft.bench_cli import (
     GfpvFormatError, build_parser, main, parse_radix, read_gfpv, write_gfpv,
 )
@@ -87,6 +88,25 @@ def test_gfpv_read_errors(tmp_path):
         read_gfpv(_mangled(tmp_path, raw[:-8], "payload.gfpv"))
 
 
+@pytest.mark.parametrize("k,r", [(0, 1 << 62), (3, 1 << 62), (1 << 17, 1 << 62),
+                                 (8, 1), (8, 0)])
+def test_gfpv_read_rejects_bad_field_before_rows(tmp_path, monkeypatch, k, r):
+    # k = 0 passes the length check whatever the count, so a 32-byte file
+    # could ask for 2^63 empty rows: the field is checked before any row
+    # is read, and a row read fails the test instead of hanging it
+    path = _mangled(tmp_path, b"GFPV" + struct.pack("<IQQQ", 1, k, r, 1 << 63),
+                    "field.gfpv")
+    unpack_from = struct.unpack_from
+
+    def header_only(fmt, data, offset=0):
+        assert offset == 4, "read_gfpv reached the row loop"
+        return unpack_from(fmt, data, offset)
+
+    monkeypatch.setattr(bench_cli.struct, "unpack_from", header_only)
+    with pytest.raises(GfpvFormatError, match="bad field"):
+        read_gfpv(path)
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -132,6 +152,30 @@ def test_verify_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
     got_k, got_r, vecs = read_gfpv(out)
     assert (got_k, got_r) == (k, r)
     assert vecs == [bad, bad]
+
+
+def test_verify_add_failure_writes_counterexample(tmp_path, capsys, monkeypatch):
+    # a wrong gfp_add fails add_sub_vs_integers, and --out keeps the first
+    # pair it got wrong, ready to replay
+    seen = []
+    real_add = gfp_field.gfp_add
+
+    def off_by_one(params, x, y):
+        seen.append((x, y))
+        return gfp_field.gfp_sub(params, real_add(params, x, y),
+                                 gfp_encode(params, 1))
+
+    monkeypatch.setattr(gfp_field, "gfp_add", off_by_one)
+    out = tmp_path / "add.gfpv"
+    rc = main(["verify", "--k", "8", "--r", "2^59+2^16", "--trials", "5",
+               "--out", str(out)])
+    assert rc == 1
+    text = capsys.readouterr().out
+    assert "FAIL add_sub_vs_integers (add counterexample" in text
+    assert "counterexample written to" in text
+    k, r, vecs = read_gfpv(out)
+    assert (k, r) == (8, (1 << 59) + (1 << 16))
+    assert vecs == list(seen[0])
 
 
 def test_verify_smoke_searched_radix(capsys):

@@ -10,7 +10,7 @@ from gfpfft import gfp_mult
 from gfpfft.gfp_field import (
     MAX_K, STRAIGHT_LINE_K, ConfigurationError, GfpParams, gfp_add,
     gfp_decode, gfp_encode, gfp_find_nth_root, gfp_mul_pow_r,
-    gfp_primitive_root, gfp_sub, is_canonical, radix_codec,
+    gfp_primitive_root, gfp_sub, is_canonical, radix_codec, settle,
 )
 from gfpfft.gfp_mult import FftOperand, crt_default, gfp_mul_bigint, gfp_mul_fft
 
@@ -127,10 +127,54 @@ def test_add_sub_vs_integers(k, r):
         assert gfp_decode(params, d) == (a - b) % p
 
 
+def _check_settle(params, vectors):
+    # settle(u) is sum(u[i] * r^i) mod p as a canonical element; returns
+    # how many vectors carried out of the top digit, and how many of those
+    # still carried after the wrap: floor divmods carry floor(U / r^k) out
+    # of the top, and U mod r^k minus that carry, outside [0, r^k), leaves
+    # a carry for the final encode
+    r, k, p = params.r, params.k, params.p
+    rk = r ** k
+    wrapped = encoded = 0
+    for u in vectors:
+        big = sum(d * r ** i for i, d in enumerate(u))
+        got = settle(params, u)
+        assert type(got) is tuple and is_canonical(params, got)
+        assert gfp_decode(params, got) == big % p
+        carry = big // rk
+        wrapped += carry != 0
+        encoded += not 0 <= big % rk - carry < rk
+    return wrapped, encoded
+
+
+@pytest.mark.parametrize("r,k", [(r, k) for r in (2, 3, 4) for k in (1, 2, 4)])
+def test_settle_exhaustive_signed(r, k):
+    # every signed vector in [-2r, 2r]^k: digit-wise sums and differences
+    # of elements, and more
+    params = GfpParams(r, k)
+    vectors = itertools.product(range(-2 * r, 2 * r + 1), repeat=k)
+    wrapped, encoded = _check_settle(params, vectors)
+    assert wrapped and encoded
+
+
+@pytest.mark.parametrize("k,r", TABLE_CONFIGS + SMALL_CONFIGS + [
+    (64, 284903849103190610), (128, (1 << 32) - 5)])
+def test_settle_seeded_product_range(k, r):
+    # convolution coefficients reach k*r^2 in magnitude
+    params = GfpParams(r, k)
+    rng = random.Random(SEED ^ (k * r))
+    big = k * r * r
+    vectors = [[rng.randrange(-big, big + 1) for _ in range(k)]
+               for _ in range(200)]
+    vectors += [[big] * k, [-big] * k, [0] * (k - 1) + [big],
+                [0] * (k - 1) + [-big], [-1] + [0] * (k - 1)]
+    wrapped, encoded = _check_settle(params, vectors)
+    assert wrapped and encoded
+
+
 def test_sub_rejects_noncanonical_digit():
-    # a subtrahend digit of r + 5 leaves a negative digit after the borrow;
-    # a minuend digit above r, or r anywhere but the top digit over zeros,
-    # survives without one
+    # a digit above r on either side, or r anywhere but the top digit over
+    # zeros, is refused before the difference settles
     params = GfpParams(10, 4)
     with pytest.raises(ValueError):
         gfp_sub(params, (0,) * 4, (15, 0, 0, 0))
@@ -143,8 +187,8 @@ def test_sub_rejects_noncanonical_digit():
 
 
 def test_add_rejects_noncanonical_digit():
-    # a digit of 25 stays above r = 10 after one carry subtract; the
-    # top digit of (p-1) + (p-1) is the one place r may remain
+    # a digit above r = 10 on either side is refused before the sum
+    # settles; (p-1) + (p-1) carries r + r out of the top digit
     params = GfpParams(10, 4)
     with pytest.raises(ValueError):
         gfp_add(params, (25, 0, 0, 0), (0,) * 4)
@@ -440,10 +484,27 @@ def test_codec_seeded(k):
         _check_codec(r, k, values)
 
 
-def _check_decode_matches_is_canonical(params, vectors):
+def _reference_is_element(params, x):
+    # the element rule written out plainly, apart from the codec: a tuple
+    # or a list (or a subclass) of k digits of type int, in form A or B
+    r, k = params.r, params.k
+    if not isinstance(x, (tuple, list)) or len(x) != k:
+        return False
+    if any(type(d) is not int for d in x):
+        return False
+    if all(0 <= d < r for d in x):
+        return True
+    return x[k - 1] == r and all(d == 0 for d in x[:k - 1])
+
+
+def _check_element_rule(params, vectors):
+    # is_element, is_canonical and decode all follow the reference rule
     codec = radix_codec(params.r, params.k)
     for x in vectors:
-        if is_canonical(params, x):
+        want = _reference_is_element(params, x)
+        assert codec.is_element(x) is want
+        assert is_canonical(params, x) is want
+        if want:
             assert codec.decode(x) == loop_value(params.r, x)
         else:
             with pytest.raises(ValueError, match="non-canonical"):
@@ -471,7 +532,7 @@ def test_codec_decode_checks_exactly_canonical(r, k):
     params = GfpParams(r, k)
     vectors = list(itertools.product(range(r + 2), repeat=k))
     vectors += [list(x) for x in vectors]
-    _check_decode_matches_is_canonical(params, vectors + _odd_vectors(params))
+    _check_element_rule(params, vectors + _odd_vectors(params))
 
 
 @pytest.mark.parametrize("k", [8, 128])
@@ -486,7 +547,7 @@ def test_codec_decode_checks_exactly_canonical_wide(k):
             x = list(good)
             x[i] = bad
             vectors += [x, tuple(x)]
-    _check_decode_matches_is_canonical(params, vectors + _odd_vectors(params))
+    _check_element_rule(params, vectors + _odd_vectors(params))
 
 
 def test_codec_is_cached_per_field():
@@ -501,8 +562,8 @@ def test_codec_is_cached_per_field():
 @pytest.mark.parametrize("k", [1 << i for i in range(7)])
 def test_codec_is_straight_line(k):
     # up to k = 64 the codec is compiled with no loop: k - 1 divmods by
-    # inlined powers of r, and no call but type, len and divmod, except
-    # the checked decode's fallback to is_canonical
+    # inlined powers of r, and no call but isinstance, type, len and
+    # divmod; decode runs the element test inline, with no fallback
     assert k <= STRAIGHT_LINE_K
     codec = radix_codec(5, k)
     tree = ast.parse(codec.encode.source)
@@ -511,6 +572,6 @@ def test_codec_is_straight_line(k):
                 if isinstance(n, (ast.For, ast.While, ast.comprehension))]
     calls = [n.func.id for n in ast.walk(tree) if isinstance(n, ast.Call)]
     assert calls.count("divmod") == k - 1
-    assert set(calls) <= {"type", "len", "divmod", "ValueError", "checked"}
+    assert set(calls) <= {"isinstance", "type", "len", "divmod", "ValueError"}
     assert radix_codec.cache_info().maxsize is not None
     assert not hasattr(radix_codec(5, 2 * STRAIGHT_LINE_K).encode, "source")

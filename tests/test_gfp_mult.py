@@ -401,10 +401,10 @@ def test_mul_runs_one_convolution(r, n_primes, monkeypatch):
 
 
 def test_multiplier_caches_are_bounded():
-    # the per-field resolution and the convolution plans are bounded
-    # caches: after more distinct fields than the bound, the resolution
-    # cache holds no more than its bound, and products, of an evicted
-    # field too, still match the bigint product
+    # the per-field resolution, the convolution plans and the word-prime
+    # contexts are bounded caches: after more distinct fields or primes
+    # than the bound, each holds no more than its bound, and products, of
+    # an evicted field too, still match the bigint product
     bound = _resolved.cache_info().maxsize
     assert bound is not None and _nega_plan.cache_info().maxsize is not None
     crt = crt_default()
@@ -416,6 +416,18 @@ def test_multiplier_caches_are_bounded():
         assert gfp_mul_fft(params, crt, x, y) == gfp_mul_bigint(params, x, y)
     info = _resolved.cache_info()
     assert info.currsize <= info.maxsize == bound
+    prime_bound = word_prime.cache_info().maxsize
+    assert prime_bound is not None
+    primes = [q for q in range(3, 50 * prime_bound, 2)
+              if all(q % d for d in range(3, int(q ** 0.5) + 1, 2))]
+    assert len(primes) > prime_bound + 10
+    for q in primes[:prime_bound + 10]:
+        assert word_prime(q).q == q
+    info = word_prime.cache_info()
+    assert info.currsize <= info.maxsize == prime_bound
+    assert word_prime(P1).q == P1
+    x, y = gfp_encode(fields[0], 5), gfp_encode(fields[0], 7)
+    assert gfp_mul_fft(fields[0], crt, x, y) == gfp_mul_bigint(fields[0], x, y)
 
 
 def test_fft_operand_over_other_primes_falls_back():
