@@ -95,6 +95,8 @@ def _radix(text, k):
 # GFPV vector files
 
 def write_gfpv(path, k, r, vectors):
+    if not 0 < k <= MAX_K or k & (k - 1) or r < 2:
+        raise ValueError("bad field k=%d r=%d" % (k, r))
     with open(path, "wb") as fh:
         fh.write(b"GFPV")
         fh.write(struct.pack("<IQQQ", 1, k, r, len(vectors)))

@@ -23,25 +23,26 @@ A field defines its element form, encode(int) -> element and
 decode(element) -> int, and its hot-path arithmetic: is_element,
 mul(x, c), which multiplies a transform residue x by a table entry c,
 and root_power_mul_factory(omega, count), the closure x, t -> x*omega^t
-that the shift base cases and every twiddle stage use for powers of the
-base root.  IntModField below defines both for plain residues mod a
-prime, mul(x, c) = x * c % p, and, through encode and decode, does the
-plan-time math of every field once on native ints: pow, one and
-power_table.  power_table(omega, count) is the field's cached list of
-the plain residues omega^t, t < count, each passed through the field's
-_prepared into the form its mul takes fastest; plans take their twiddle
-table from it.  MontField is an element codec only: a DFT is linear, so
-IntModField's arithmetic by plain-residue constants, run on Montgomery
-residues, gives the Montgomery form of the result.  build_plan calls
-root_power_mul_factory once, before it asks for the twiddle table, so a
-field whose multiplier only works for some roots rejects the others
-first.  A field with shift, such as GF(r^k + 1) on digit tuples, is
-transformed on residues mod p: dft_general and dft_inverse decode each
-element once on entry and encode each value once on exit, and its mul
-and multiplier take and return residues in between.  Such a field's
-decode raises ValueError for a non-element, so it is those transforms'
-input check; the other fields' inputs, and every plan's root, are
-checked once with is_element.  The arithmetic underneath checks nothing.
+by powers of the base root that the shift base cases use.  IntModField
+below defines both for plain residues mod a prime, mul(x, c) =
+x * c % p, and, through encode and decode, does the plan-time math of
+every field once on native ints: pow, one and power_table(omega,
+count), the cached plain residues omega^t, t < count, each _prepared
+into the form mul takes fastest.  A plan's twiddle table holds all N
+powers, so a twiddle block is one slice multiply, or N/K if the field
+sets split_twiddles (GfpFftField's fft backend), whose twiddle stages
+also rotate by base-root powers through the multiplier.  MontField is
+an element codec only: a DFT is linear, so IntModField's arithmetic by
+plain-residue constants, run on Montgomery residues, gives the
+Montgomery form of the result.  build_plan calls root_power_mul_factory
+before it asks for the twiddle table, so a field whose multiplier only
+works for some roots rejects the others first.  A field with shift,
+such as GF(r^k + 1) on digit tuples, is transformed on residues mod p:
+dft_general and dft_inverse decode, and so check, each element once on
+entry and encode each value once on exit, and its mul and multiplier
+take and return residues in between.  The other fields' inputs, and
+every plan's root, are checked with is_element.  The arithmetic
+underneath checks nothing.
 
 Plans are immutable after construction and shareable; dft_general mutates
 exactly one caller-owned list.
@@ -90,13 +91,11 @@ def stride_permutation(v, m, n, offset=0):
 def twiddle_apply(v, m, n, omega_i, field):
     """Multiply v[j*m + i] by omega_i^(i*j) for j < n blocks of m lanes.
 
-    Exponents are never formed with a generic power: each block keeps a
-    running row step omega_i^j and each lane multiplies the running factor
-    by it, so the stage costs O(m*n) multiplications.  The row runs on the
-    residue field.decode(omega_i), the form mul takes as its right
-    operand.  A field with shift multiplies into residues, and the lanes
-    it changed are encoded back into elements.  A standalone helper:
-    dft_general does not call it.
+    No generic power: each block keeps a running row step omega_i^j, by
+    which each lane's running factor is multiplied, O(m*n) products in all,
+    on the residue field.decode(omega_i).  A field with shift multiplies
+    into residues, and the lanes it changed are encoded back into elements.
+    A standalone helper: dft_general does not call it.
     """
     if m == 1:
         return v
@@ -117,19 +116,20 @@ def twiddle_apply(v, m, n, omega_i, field):
 
 
 def _twiddle_level_cheap(v, off, m, n, stride, table, mul_base, mul):
-    # factor omega_i^(i*j) split as omega_base^a * omega_i^b with
-    # a, b = divmod(i*j, m), since omega_i^m is the base root; mul_base
-    # is the field's multiplier by powers of that root
+    # lane i of block j times omega_i^(i*j), omega_i = omega^stride: one
+    # slice multiply per block from all N = n*m*stride powers; from N/K,
+    # omega_base^a * omega_i^b, a, b = divmod(i*j, m), a rotated by mul_base
+    if len(table) == n * m * stride:
+        for j in range(1, n):
+            b, s = off + j * m, stride * j
+            v[b + 1:b + m] = map(mul, v[b + 1:b + m], table[s:s * m:s])
+        return v
     for j in range(1, n):
         base = off + j * m
         for i in range(1, m):
             a, b = divmod(i * j, m)
-            x = v[base + i]
-            if a:
-                x = mul_base(x, a)
-            if b:
-                x = mul(x, table[b * stride])
-            v[base + i] = x
+            x = mul_base(v[base + i], a) if a else v[base + i]
+            v[base + i] = mul(x, table[b * stride]) if b else x
     return v
 
 
@@ -269,7 +269,9 @@ def convolution_kernels(q, k, theta):
 # plans and the general transform
 
 class FftPlan:
-    """Precomputed data for a size K^e transform at root omega."""
+    """Precomputed data for a size K^e transform at root omega.  Its
+    twiddle_table is N residues, 44 MB at MAX_N for a 64-bit p and 97 MB
+    for a 473-bit p, or N/K FftOperands on GfpFftField's fft backend."""
 
     def __init__(self, field, K, e, omega):
         self.field = field
@@ -281,7 +283,8 @@ class FftPlan:
         # a field whose multiplier cannot run this base root raises here,
         # before the twiddle table is built
         field.root_power_mul_factory(self.omega_base, K)
-        self.twiddle_table = field.power_table(omega, K ** (e - 1))
+        self.twiddle_table = field.power_table(
+            omega, self.N // K if field.split_twiddles else self.N)
 
 
 def build_plan(field, K, e, omega):
@@ -290,10 +293,10 @@ def build_plan(field, K, e, omega):
     omega must be a field element with omega^N = 1, omega^(N/2) = -1, and
     the field's root_power_mul_factory must accept the base root
     omega^(N/K) with count K; GfpFftField raises there unless K = 2k and
-    the base root is r.  Both checks come before the twiddle table is
-    built.  K and e must have type int, so a float or a bool raises
-    ValueError, and K^e above MAX_N raises ConfigurationError before K^e
-    is computed.
+    the base root is r.  Both checks come before the twiddle table of N
+    residues, or N/K operands (see FftPlan), is built.  K and e must have
+    type int, so a float or a bool raises ValueError, and K^e above MAX_N
+    raises ConfigurationError before K^e is computed.
     """
     if type(K) is not int or type(e) is not int:
         raise ValueError("K and e must be ints")
@@ -374,12 +377,13 @@ def _transform(v, plan, field, profile, inverse=False):
         t0 = lap(profile, "permutation", t0)
 
     mul_base = field.root_power_mul_factory(plan.omega_base, K)
+    mul = field.mul
     for t in range(e):
         m = K ** t
         if t:
             for j in range(0, N, K * m):
                 _twiddle_level_cheap(v, j, m, K, N // (K * m),
-                                     plan.twiddle_table, mul_base, field.mul)
+                                     plan.twiddle_table, mul_base, mul)
             if profile is not None:
                 t0 = lap(profile, "twiddle", t0)
         _base_pass(v, plan, field, mul_base, m)
@@ -412,6 +416,8 @@ class IntModField:
     here on native ints, and the _prepared hook puts a plain residue from
     a power table in the form mul takes fastest as its right operand.
     """
+
+    split_twiddles = False
 
     def __init__(self, p):
         self.p = p

@@ -373,8 +373,8 @@ class GfpFftField(IntModField):
     backend; shift(x, t) = x * r^t is a multiply by the cached r^t mod p,
     t <= 2k, and marks the field as one that fft runs on residues.  pow
     is IntModField's, whose checked decode raises ValueError for a base
-    that is not an element.  _prepared turns a power table's residue into
-    an FftOperand on the fft backend and keeps it on the bigint one.
+    that is not an element.  The fft backend sets split_twiddles, and its
+    _prepared turns a power table's residue into an FftOperand.
     root_power_mul_factory multiplies by powers of r with shift
     and rejects any other base root or size.
     """
@@ -388,6 +388,7 @@ class GfpFftField(IntModField):
         self.params = params
         self.crt = crt
         self.backend = backend
+        self.split_twiddles = backend == "fft"
         codec = radix_codec(params.r, params.k)
         self.encode = encode = codec.encode
         self.decode = codec.decode

@@ -107,6 +107,17 @@ def test_gfpv_read_rejects_bad_field_before_rows(tmp_path, monkeypatch, k, r):
         read_gfpv(path)
 
 
+@pytest.mark.parametrize("k,r", [(3, 10), (0, 1 << 62), (3, 1 << 62),
+                                 (1 << 17, 1 << 62), (8, 1), (8, 0)])
+def test_gfpv_write_rejects_bad_field_before_file(tmp_path, k, r):
+    # write_gfpv refuses every field read_gfpv refuses, and raises before
+    # the file is created
+    path = tmp_path / "field.gfpv"
+    with pytest.raises(ValueError, match="bad field"):
+        write_gfpv(path, k, r, [(1, 2, 3)])
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

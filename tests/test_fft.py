@@ -579,21 +579,65 @@ def test_cheap_twiddle_identity():
         assert lhs == rhs
 
 
+def _level_field(kind, K, e):
+    # a field of the named kind and a primitive K^e-th root in it
+    if kind in ("intmod", "mont"):
+        ctx = word_prime(P1)
+        w = word_primitive_root(ctx, K ** e)
+        if kind == "mont":
+            return MontField(ctx), w
+        return IntModField(P1), mont_convert_out(ctx, w)
+    backend, _, size = kind.partition("-")
+    params = GfpParams(4, 2) if size else GfpParams(GFP_R, 8)
+    return GfpFftField(params, backend=backend), gfp_root(params, K ** e)
+
+
+@pytest.mark.parametrize("kind, K, e", [
+    ("intmod", 8, 3), ("mont", 8, 3), ("fft", 16, 2), ("fft", 16, 3),
+    ("bigint", 16, 2), ("bigint", 16, 3), ("fft-17", 4, 2), ("bigint-17", 4, 2),
+])
+def test_twiddle_level_matches_native_pow(kind, K, e):
+    # on every level m = K^t, lane i of block j leaves the twiddle stage as
+    # x * omega^(s*i*j), s = N/(K*m), whether the plan holds all N powers
+    # or, on the fft backend, N/K operands and splits off the base root
+    field, omega = _level_field(kind, K, e)
+    plan = build_plan(field, K, e, omega)
+    p, N, w = field.p, K ** e, field.decode(omega)
+    assert len(plan.twiddle_table) == (N // K if kind.startswith("fft") else N)
+    mul_base = field.root_power_mul_factory(plan.omega_base, K)
+    rng = random.Random(SEED)
+    for t in range(1, e):
+        m = K ** t
+        s = N // (K * m)
+        x = [0, 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(N - 4)]
+        v = list(x)
+        for off in range(0, N, K * m):
+            fft._twiddle_level_cheap(v, off, m, K, s, plan.twiddle_table,
+                                     mul_base, field.mul)
+        assert v == [x[off + j * m + i] * pow(w, s * i * j, p) % p
+                     for off in range(0, N, K * m)
+                     for j in range(K) for i in range(m)]
+
+
 @pytest.mark.parametrize("backend", ["fft", "bigint"])
 def test_gfp_plan_takes_twiddle_table_from_field(backend):
-    # one power table per field: plans take their twiddles from it, and
-    # the fft backend stores prepared operands
+    # one power table per field: plans take their twiddles from it.  The
+    # fft backend stores N/K prepared operands and splits each factor; the
+    # bigint backend multiplies residues, so it holds all N plain powers
     params = GfpParams(GFP_R, 8)
     field = GfpFftField(params, backend=backend)
     omega = gfp_root(params, 256)
     plan = build_plan(field, 16, 2, omega)
-    table = field.power_table(omega, 16)
+    if backend == "fft":
+        table = field.power_table(omega, 16)
+        assert all(type(t) is FftOperand for t in table)
+        assert table == [field.pow(omega, t) for t in range(16)]
+    else:
+        table = field.power_table(omega, 256)
+        assert all(type(t) is int for t in table)
+        w, p = field.decode(omega), params.p
+        assert table == [pow(w, t, p) for t in range(256)]
     assert plan.twiddle_table is table
-    # the bigint backend multiplies residues, so its entries are residues
-    kind = FftOperand if backend == "fft" else int
-    assert all(type(t) is kind for t in table)
-    want = [field.pow(omega, t) for t in range(16)]
-    assert table == (want if backend == "fft" else list(map(field.decode, want)))
     rng = random.Random(SEED)
     v = [gfp_encode(params, rng.randrange(params.p)) for _ in range(256)]
     assert dft_inverse(dft_general(list(v), plan, field), plan, field) == v
@@ -735,9 +779,9 @@ def test_plan_size_limit_raises_before_any_table():
         build_plan(field, 64, 10 ** 18, 1)
     assert counts == []
     # the largest size allowed still builds: the base-root check asks for
-    # its 16 powers, then the plan for its twiddle table
+    # its 16 powers, then the plan for its twiddle table of all N powers
     build_plan(field, 16, 5, find_nth_root(p, fft.MAX_N))
-    assert counts == [16, fft.MAX_N // 16]
+    assert counts == [16, fft.MAX_N]
 
 
 def test_montfield_adapter_operations():

@@ -91,22 +91,44 @@ def test_base_root_rotations_go_through_field_shift():
 
 
 @pytest.mark.parametrize("backend", ["fft", "bigint"])
-def test_gfp_base_cases_carry_only_in_normalize(backend):
+def test_gfp_base_cases_carry_only_in_normalize(backend, monkeypatch):
     # the base cases add residues directly and reduce each output once
     # inline, so the field has no add, sub or normalize; in a K=16, e=2
-    # transform every rotation still goes through field.shift
+    # transform every base-case rotation still goes through field.shift,
+    # 544 on both backends.  The twiddle stage rotates 180 lanes on the
+    # fft backend, which splits its factors, and none on bigint, which
+    # multiplies by all N powers
     params = GfpParams((1 << 59) + (1 << 16), 8)
     N = 256
     omega = gfp_primitive_root(params, N, gfp_find_nth_root(params, N, seed=0))
     field = gfp_mult.GfpFftField(params, backend=backend)
     plan = build_plan(field, 16, 2, omega)
     assert not {"add", "sub", "normalize"} & set(dir(field))
-    calls = []
+    stage = []
+    calls = {"basecase": 0, "twiddle": 0}
+
+    def inside(name, fn):
+        def run(*args):
+            stage.append(name)
+            try:
+                return fn(*args)
+            finally:
+                stage.pop()
+        return run
+
+    monkeypatch.setattr(fft, "_base_pass", inside("basecase", fft._base_pass))
+    monkeypatch.setattr(fft, "_twiddle_level_cheap",
+                        inside("twiddle", fft._twiddle_level_cheap))
     plain_shift = field.shift
-    field.shift = lambda a, t: calls.append(1) or plain_shift(a, t)
+
+    def counting_shift(a, t):
+        calls[stage[-1]] += 1
+        return plain_shift(a, t)
+
+    field.shift = counting_shift
     v = [gfp_encode(params, 3 * i + 1) for i in range(N)]
     dft_general(v, plan, field)
-    assert len(calls) == 724
+    assert calls == {"basecase": 544, "twiddle": 180 if backend == "fft" else 0}
     assert all(type(x) is tuple for x in v)
 
 
