@@ -97,13 +97,14 @@ def _radix(text, k):
 def write_gfpv(path, k, r, vectors):
     if not 0 < k <= MAX_K or k & (k - 1) or r < 2:
         raise ValueError("bad field k=%d r=%d" % (k, r))
+    # the whole payload is packed before open, so a bad row leaves no file
+    try:
+        data = struct.pack("<4sIQQQ", b"GFPV", 1, k, r, len(vectors)) + \
+            b"".join([struct.pack("<%dQ" % k, *v) for v in vectors])
+    except struct.error as exc:
+        raise ValueError("cannot pack GFPV data: %s" % exc) from None
     with open(path, "wb") as fh:
-        fh.write(b"GFPV")
-        fh.write(struct.pack("<IQQQ", 1, k, r, len(vectors)))
-        for v in vectors:
-            if len(v) != k:
-                raise ValueError("vector length mismatch")
-            fh.write(struct.pack("<%dQ" % k, *v))
+        fh.write(data)
 
 
 def read_gfpv(path):

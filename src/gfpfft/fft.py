@@ -14,35 +14,32 @@ of DFT_K into a flat list of dft2 / twiddle / swap steps, compiled as
 straight-line Python with unreduced butterflies and one reduction per
 output (% q).  Over a word modulus q, the field base cases and the
 negacyclic convolution kernels inline root powers as constants; a field
-with shift runs its multiplier by powers of the base root per rotation.
+with shift calls it once per rotation by a power of the base root.
 At e = 1 the transform is one base case.  dft_inverse runs the same plan:
 the DFT at omega^(-1) is the DFT at omega with outputs 1..N-1 reversed, so
 it reverses them and scales each residue by the plain int 1/N mod p.
 
 A field defines its element form, encode(int) -> element and
-decode(element) -> int, and its hot-path arithmetic: is_element,
-mul(x, c), which multiplies a transform residue x by a table entry c,
-and root_power_mul_factory(omega, count), the closure x, t -> x*omega^t
-by powers of the base root that the shift base cases use.  IntModField
-below defines both for plain residues mod a prime, mul(x, c) =
-x * c % p, and, through encode and decode, does the plan-time math of
-every field once on native ints: pow, one and power_table(omega,
-count), the cached plain residues omega^t, t < count, each _prepared
-into the form mul takes fastest.  A plan's twiddle table holds all N
-powers, so a twiddle block is one slice multiply, or N/K if the field
-sets split_twiddles (GfpFftField's fft backend), whose twiddle stages
-also rotate by base-root powers through the multiplier.  MontField is
+decode(element) -> int, and its hot-path arithmetic: is_element and
+mul(x, c), which multiplies a transform residue x by a table entry c.
+IntModField below defines both for plain residues mod a prime,
+mul(x, c) = x * c % p, and, through encode and decode, does the
+plan-time math of every field once on native ints: pow, one and
+power_table(omega, count), the plain residues omega^t, t < count, each
+_prepared into the form mul takes fastest.  A plan's twiddle table
+holds all N powers, so a twiddle block is one slice multiply, or N/K if
+the field sets split_twiddles (GfpFftField's fft backend).  MontField is
 an element codec only: a DFT is linear, so IntModField's arithmetic by
 plain-residue constants, run on Montgomery residues, gives the
-Montgomery form of the result.  build_plan calls root_power_mul_factory
-before it asks for the twiddle table, so a field whose multiplier only
-works for some roots rejects the others first.  A field with shift,
-such as GF(r^k + 1) on digit tuples, is transformed on residues mod p:
+Montgomery form of the result.  A field with shift(x, t) = x * r^t,
+such as GF(r^k + 1) on digit tuples, runs on residues mod p:
 dft_general and dft_inverse decode, and so check, each element once on
-entry and encode each value once on exit, and its mul and multiplier
-take and return residues in between.  The other fields' inputs, and
-every plan's root, are checked with is_element.  The arithmetic
-underneath checks nothing.
+entry and encode each value once on exit, and every rotation by a power
+of the base root r, in a base case or a split twiddle, calls shift.
+The paper picks omega with omega^(N/2k) = r, and build_plan runs the
+field's check_base_root before it builds the twiddle table.  The other
+fields' inputs, and every plan's root, are checked with is_element.
+The arithmetic underneath checks nothing.
 
 Plans are immutable after construction and shareable; dft_general mutates
 exactly one caller-owned list.
@@ -91,34 +88,26 @@ def stride_permutation(v, m, n, offset=0):
 def twiddle_apply(v, m, n, omega_i, field):
     """Multiply v[j*m + i] by omega_i^(i*j) for j < n blocks of m lanes.
 
-    No generic power: each block keeps a running row step omega_i^j, by
-    which each lane's running factor is multiplied, O(m*n) products in all,
-    on the residue field.decode(omega_i).  A field with shift multiplies
-    into residues, and the lanes it changed are encoded back into elements.
-    A standalone helper: dft_general does not call it.
+    Runs the transforms' twiddle kernel at stride 1 on the m*n powers of
+    field.decode(omega_i); on a field with shift, the lanes it changed
+    are encoded back into elements.  Raises ValueError if v is shorter
+    than m*n.  A standalone helper: dft_general does not call it.
     """
-    if m == 1:
-        return v
-    mul = field.mul
-    digits = hasattr(field, "shift")
-    step = row = field.decode(omega_i)
-    for j in range(1, n):
-        base = j * m
-        w = row
-        v[base + 1] = mul(v[base + 1], w)
-        for i in range(2, m):
-            w = mul(w, row)
-            v[base + i] = mul(v[base + i], w)
-        if digits:
-            v[base + 1:base + m] = map(field.encode, v[base + 1:base + m])
-        row = mul(row, step)
+    if len(v) < m * n:
+        raise ValueError("vector length must be at least m*n")
+    w, p = field.decode(omega_i), field.p
+    table = [pow(w, t, p) for t in range(m * n)]
+    _twiddle_level_cheap(v, 0, m, n, 1, table, None, field.mul)
+    if hasattr(field, "shift"):
+        for b in range(m, m * n, m):
+            v[b + 1:b + m] = map(field.encode, v[b + 1:b + m])
     return v
 
 
-def _twiddle_level_cheap(v, off, m, n, stride, table, mul_base, mul):
+def _twiddle_level_cheap(v, off, m, n, stride, table, shift, mul):
     # lane i of block j times omega_i^(i*j), omega_i = omega^stride: one
     # slice multiply per block from all N = n*m*stride powers; from N/K,
-    # omega_base^a * omega_i^b, a, b = divmod(i*j, m), a rotated by mul_base
+    # omega_base^a * omega_i^b, a, b = divmod(i*j, m), a rotated by shift
     if len(table) == n * m * stride:
         for j in range(1, n):
             b, s = off + j * m, stride * j
@@ -128,7 +117,7 @@ def _twiddle_level_cheap(v, off, m, n, stride, table, mul_base, mul):
         base = off + j * m
         for i in range(1, m):
             a, b = divmod(i * j, m)
-            x = mul_base(v[base + i], a) if a else v[base + i]
+            x = shift(v[base + i], a) if a else v[base + i]
             v[base + i] = mul(x, table[b * stride]) if b else x
     return v
 
@@ -236,7 +225,7 @@ def _int_base(q, K, omega):
 
 @lru_cache(maxsize=128)  # bounded: p comes from the caller
 def _lazy_base(p, K):
-    # base(v, off, s, mul_pow) mod p, rotating by the field's mul_pow
+    # base(v, off, s, mul_pow) mod p, rotating by mul_pow, the field's shift
     return _base_template(p, K, "v, off, s, mul_pow",
                           lambda a, t: "%s = mul_pow(%s, %d)" % (a, a, t))
 
@@ -269,8 +258,8 @@ def convolution_kernels(q, k, theta):
 # plans and the general transform
 
 class FftPlan:
-    """Precomputed data for a size K^e transform at root omega.  Its
-    twiddle_table is N residues, 44 MB at MAX_N for a 64-bit p and 97 MB
+    """Precomputed data for a size K^e transform at root omega.  It owns
+    its twiddle_table: N residues, 44 MB at MAX_N for a 64-bit p and 97 MB
     for a 473-bit p, or N/K FftOperands on GfpFftField's fft backend."""
 
     def __init__(self, field, K, e, omega):
@@ -280,9 +269,9 @@ class FftPlan:
         self.N = K ** e
         self.omega = omega
         self.omega_base = field.pow(omega, K ** (e - 1))
-        # a field whose multiplier cannot run this base root raises here,
-        # before the twiddle table is built
-        field.root_power_mul_factory(self.omega_base, K)
+        # a field that cannot run this base root raises here, before the
+        # twiddle table is built
+        field.check_base_root(self.omega_base, K)
         self.twiddle_table = field.power_table(
             omega, self.N // K if field.split_twiddles else self.N)
 
@@ -291,10 +280,10 @@ def build_plan(field, K, e, omega):
     """Validate omega and precompute the twiddle table.
 
     omega must be a field element with omega^N = 1, omega^(N/2) = -1, and
-    the field's root_power_mul_factory must accept the base root
-    omega^(N/K) with count K; GfpFftField raises there unless K = 2k and
-    the base root is r.  Both checks come before the twiddle table of N
-    residues, or N/K operands (see FftPlan), is built.  K and e must have
+    the field's check_base_root must accept the base root omega^(N/K)
+    at size K; GfpFftField raises there unless K = 2k and the base root
+    is r.  Both checks come before the twiddle table of N residues, or
+    N/K operands (see FftPlan), is built.  K and e must have
     type int, so a float or a bool raises ValueError, and K^e above MAX_N
     raises ConfigurationError before K^e is computed.
     """
@@ -316,12 +305,12 @@ def build_plan(field, K, e, omega):
     return FftPlan(field, K, e, omega)
 
 
-def _base_pass(v, plan, field, mul_base, m):
+def _base_pass(v, plan, field, m):
     # I_(N/Km) x DFT_K x I_m: DFT_K on v[b+i::m] for every block b of K*m
     # entries and every lane i < m
     K = plan.K
     if hasattr(field, "shift"):
-        base, ops = _lazy_base(field.p, K), (mul_base,)
+        base, ops = _lazy_base(field.p, K), (field.shift,)
     else:
         base, ops = _int_base(field.p, K, field.decode(plan.omega_base)), ()
     for b in range(0, plan.N, K * m):
@@ -376,17 +365,16 @@ def _transform(v, plan, field, profile, inverse=False):
     if profile is not None:
         t0 = lap(profile, "permutation", t0)
 
-    mul_base = field.root_power_mul_factory(plan.omega_base, K)
-    mul = field.mul
+    shift, mul = getattr(field, "shift", None), field.mul
     for t in range(e):
         m = K ** t
         if t:
             for j in range(0, N, K * m):
                 _twiddle_level_cheap(v, j, m, K, N // (K * m),
-                                     plan.twiddle_table, mul_base, mul)
+                                     plan.twiddle_table, shift, mul)
             if profile is not None:
                 t0 = lap(profile, "twiddle", t0)
-        _base_pass(v, plan, field, mul_base, m)
+        _base_pass(v, plan, field, m)
         if profile is not None:
             t0 = lap(profile, "basecase", t0)
     if inverse:
@@ -408,20 +396,20 @@ class IntModField:
     """Field view of Z/pZ on plain residues in [0, p) for the DFT machinery.
 
     The base of the other fields, which define their element form, encode
-    and decode, and may replace the hot-path arithmetic: is_element, mul
-    and root_power_mul_factory.  mul(x, c) multiplies a transform residue
-    x by a table entry c as x * c % p; the entry is a plain residue, so on
-    an encoding that is linear over Z/pZ, such as Montgomery form, x * c
-    is again in that encoding.  pow, one and power_table are written once
-    here on native ints, and the _prepared hook puts a plain residue from
-    a power table in the form mul takes fastest as its right operand.
+    and decode, and may replace the hot-path arithmetic, is_element and
+    mul, and the plan check check_base_root.  mul(x, c) multiplies a
+    transform residue x by a table entry c as x * c % p; the entry is a
+    plain residue, so on an encoding that is linear over Z/pZ, such as
+    Montgomery form, x * c is again in that encoding.  pow, one and
+    power_table are written once here on native ints, and the _prepared
+    hook puts a plain residue from a power table in the form mul takes
+    fastest as its right operand.
     """
 
     split_twiddles = False
 
     def __init__(self, p):
         self.p = p
-        self._tables = {}
 
     def encode(self, n):
         return n % self.p
@@ -445,26 +433,17 @@ class IntModField:
         return a
 
     def power_table(self, omega, count):
-        """[omega^t for t < count], cached: plain residues, each _prepared."""
-        key = (omega, count)
-        table = self._tables.get(key)
-        if table is None:
-            w, p, wt = self.decode(omega), self.p, 1
-            table = self._tables[key] = []
-            for _ in range(count):
-                table.append(self._prepared(wt))
-                wt = wt * w % p
+        """[omega^t for t < count]: plain residues, each _prepared."""
+        w, p, wt = self.decode(omega), self.p, 1
+        table = []
+        for _ in range(count):
+            table.append(self._prepared(wt))
+            wt = wt * w % p
         return table
 
-    def root_power_mul_factory(self, omega, count):
-        """Multiplier closure for x * omega^t, t < count, from a power table."""
-        table = self.power_table(omega, count)
-        mul = self.mul
-
-        def mul_pow(x, t):
-            return mul(x, table[t])
-
-        return mul_pow
+    def check_base_root(self, root, K):
+        """Raise ValueError if the K-point base case cannot run at root;
+        every root serves here."""
 
 
 class MontField(IntModField):

@@ -371,12 +371,12 @@ class GfpFftField(IntModField):
     operations return residues and take residues or digit tuples: mul
     dispatches, unchecked, to the FFT pipeline or to x*y % p according to
     backend; shift(x, t) = x * r^t is a multiply by the cached r^t mod p,
-    t <= 2k, and marks the field as one that fft runs on residues.  pow
-    is IntModField's, whose checked decode raises ValueError for a base
-    that is not an element.  The fft backend sets split_twiddles, and its
-    _prepared turns a power table's residue into an FftOperand.
-    root_power_mul_factory multiplies by powers of r with shift
-    and rejects any other base root or size.
+    t <= 2k, and marks the field as one that fft runs on residues and
+    rotates through shift.  pow is IntModField's, whose checked decode
+    raises ValueError for a base that is not an element.  The fft backend
+    sets split_twiddles, and its _prepared turns a power table's residue
+    into an FftOperand.  check_base_root accepts only the base case of
+    size 2k at root r.
     """
 
     def __init__(self, params, crt=None, backend="fft"):
@@ -390,7 +390,7 @@ class GfpFftField(IntModField):
         self.backend = backend
         self.split_twiddles = backend == "fft"
         codec = radix_codec(params.r, params.k)
-        self.encode = encode = codec.encode
+        self.encode = codec.encode
         self.decode = codec.decode
         self.is_element = codec.is_element
         # unchecked cores: the field's own elements are canonical
@@ -403,22 +403,16 @@ class GfpFftField(IntModField):
             self.mul = lambda x, y: ((x if type(x) is int else value(x))
                                      * (y if type(y) is int else value(y)) % p)
         self.shift = lambda x, t: (x if type(x) is int else value(x)) * powers[t] % p
-        self.shift_root = encode(params.r)
 
     def _prepared(self, a):
         if self.backend == "fft":
             return FftOperand(self.params, self.crt, self.encode(a))
         return a
 
-    def root_power_mul_factory(self, omega, count):
-        """x, t -> x * omega^t as a residue through shift, t < count.
-
-        The base case of a transform over GF(r^k + 1): count must be 2k
-        and omega r, else ValueError.
-        """
-        if count != 2 * self.params.k:
+    def check_base_root(self, root, K):
+        """Raise ValueError unless K = 2k and root is r: the paper picks
+        omega with omega^(N/2k) = r, so the base case rotates by shift."""
+        if K != 2 * self.params.k:
             raise ValueError("base-case size must equal 2k for this field")
-        if omega != self.shift_root:
+        if root != self.encode(self.params.r):
             raise ValueError("omega^(N/2k) must equal the radix r")
-        # read per dft_general call, so a wrapper on it sees each rotation
-        return self.shift

@@ -118,6 +118,18 @@ def test_gfpv_write_rejects_bad_field_before_file(tmp_path, k, r):
     assert not path.exists()
 
 
+@pytest.mark.parametrize("rows", [[(0,) * 8, (1, 2, 3)], [(0,) * 7 + (1 << 64,)],
+                                  [(1,) * 7 + (-1,)]],
+                         ids=["short-row", "digit-2^64", "digit-negative"])
+def test_gfpv_write_rejects_bad_rows_before_file(tmp_path, rows):
+    # a row of the wrong length or a digit outside [0, 2^64) raises
+    # ValueError, and the file is never created
+    path = tmp_path / "rows.gfpv"
+    with pytest.raises(ValueError):
+        write_gfpv(path, 8, 1 << 62, rows)
+    assert not path.exists()
+
+
 # ---------------------------------------------------------------------------
 # verify
 

@@ -104,23 +104,34 @@ def test_stride_permutation_length_check():
         stride_permutation(list(range(7)), 2, 4)
 
 
-@pytest.mark.parametrize("kind", ["intmod", "mont"])
+@pytest.mark.parametrize("kind", ["intmod", "mont", "fft", "bigint"])
 def test_twiddle_apply_powers(kind):
-    # over MontField both the lanes and omega_i are Montgomery residues;
-    # each lane is checked after decoding
+    # over MontField both the lanes and omega_i are Montgomery residues,
+    # over GF(r^k + 1) digit tuples; each lane is an element again and is
+    # checked after decoding.  A vector shorter than m*n raises unchanged
     if kind == "intmod":
         field, p, w = gf257(), 257, root_257(16)
-    else:
+    elif kind == "mont":
         field, p, w = MontField(word_prime(P1)), P1, find_nth_root(P1, 16)
+    else:
+        params = GfpParams(GFP_R, 8)
+        field, p = GfpFftField(params, backend=kind), params.p
+        w = gfp_decode(params, gfp_root(params, 16))
     rng = random.Random(SEED)
     m, n = 4, 4
-    v = [rng.randrange(p) for _ in range(m * n)]
+    v = [0, 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(m * n - 4)]
+    rng.shuffle(v)
     got = list(map(field.encode, v))
     twiddle_apply(got, m, n, field.encode(w), field)
     for j in range(n):
         for i in range(m):
             want = v[j * m + i] * pow(w, i * j, p) % p
+            assert field.is_element(got[j * m + i])
             assert field.decode(got[j * m + i]) == want
+    short = list(map(field.encode, v[:m * n - 1]))
+    with pytest.raises(ValueError):
+        twiddle_apply(short, m, n, field.encode(w), field)
+    assert short == list(map(field.encode, v[:m * n - 1]))
 
 
 def test_twiddle_diagonal_structure():
@@ -271,7 +282,6 @@ def test_base_pass_runs_base_case_on_strided_lanes(name):
     residue, value = (field.encode, field.decode) if name == "mont" else (int, int)
     p, N = field.p, K ** 3
     w = field.decode(plan.omega_base)
-    mul_base = field.root_power_mul_factory(plan.omega_base, K)
     # _base_pass reads K, N and omega_base: N = K^3 holds one block of
     # K^3 entries at m = K^2, also where K^3 does not divide p - 1
     plan = SimpleNamespace(K=K, N=N, omega_base=plan.omega_base)
@@ -280,7 +290,7 @@ def test_base_pass_runs_base_case_on_strided_lanes(name):
         ints = [0, 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(N - 4)]
         rng.shuffle(ints)
         v = list(map(residue, ints))
-        fft._base_pass(v, plan, field, mul_base, m)
+        fft._base_pass(v, plan, field, m)
         for b in range(0, N, K * m):
             for i in range(b, b + m):
                 lanes = slice(i, b + K * m, m)
@@ -507,9 +517,8 @@ def test_dft_inverse_is_naive_dft_at_inverse_root(name):
 
 @pytest.mark.parametrize("name", INVERSE_CASES)
 def test_dft_inverse_builds_no_plan(name, monkeypatch):
-    # the inverse runs the forward plan: it builds no second plan and asks
-    # the field for no table the forward transform does not ask for, which
-    # over GF(r^k + 1) is none at all
+    # the inverse runs the forward plan: neither transform builds a plan
+    # or asks the field for a table; the plan holds its twiddle table
     field, K, e, w, p, enc, dec = _inverse_case(name)
     plan = build_plan(field, K, e, enc(w))
     v = list(map(enc, range(K ** e)))
@@ -520,10 +529,8 @@ def test_dft_inverse_builds_no_plan(name, monkeypatch):
     monkeypatch.setattr(field, "power_table",
                         lambda *args: tables.append(args) or power_table(*args))
     dft_general(list(v), plan, field)
-    forward, tables[:] = tables[:], []
     dft_inverse(list(v), plan, field)
-    assert plans == [] and tables == forward
-    assert tables == [] or not isinstance(field, GfpFftField)
+    assert plans == [] and tables == []
 
 
 def test_profile_accumulates_phases():
@@ -558,7 +565,7 @@ def test_gfp_plan_base_root_is_radix():
     params = GfpParams(GFP_R, 8)
     field = GfpFftField(params, backend="bigint")
     plan = build_plan(field, 16, 2, gfp_root(params, 256))
-    assert plan.omega_base == field.shift_root
+    assert plan.omega_base == field.encode(params.r)
 
 
 def test_cheap_twiddle_identity():
@@ -604,7 +611,6 @@ def test_twiddle_level_matches_native_pow(kind, K, e):
     plan = build_plan(field, K, e, omega)
     p, N, w = field.p, K ** e, field.decode(omega)
     assert len(plan.twiddle_table) == (N // K if kind.startswith("fft") else N)
-    mul_base = field.root_power_mul_factory(plan.omega_base, K)
     rng = random.Random(SEED)
     for t in range(1, e):
         m = K ** t
@@ -613,7 +619,7 @@ def test_twiddle_level_matches_native_pow(kind, K, e):
         v = list(x)
         for off in range(0, N, K * m):
             fft._twiddle_level_cheap(v, off, m, K, s, plan.twiddle_table,
-                                     mul_base, field.mul)
+                                     getattr(field, "shift", None), field.mul)
         assert v == [x[off + j * m + i] * pow(w, s * i * j, p) % p
                      for off in range(0, N, K * m)
                      for j in range(K) for i in range(m)]
@@ -637,7 +643,7 @@ def test_gfp_plan_takes_twiddle_table_from_field(backend):
         assert all(type(t) is int for t in table)
         w, p = field.decode(omega), params.p
         assert table == [pow(w, t, p) for t in range(256)]
-    assert plan.twiddle_table is table
+    assert plan.twiddle_table == table
     rng = random.Random(SEED)
     v = [gfp_encode(params, rng.randrange(params.p)) for _ in range(256)]
     assert dft_inverse(dft_general(list(v), plan, field), plan, field) == v
@@ -734,7 +740,8 @@ def test_gfp_plan_root_must_align_with_radix():
 @pytest.mark.parametrize("backend", ["fft", "bigint"])
 def test_gfp_plan_checks_base_root_before_any_table(backend):
     # omega^3 and omega^-1 are primitive 256th roots whose base roots are
-    # r^3 and 1/r; build_plan refuses both before power_table is asked
+    # r^3 and 1/r, and K = 8 is not 2k at k = 8; build_plan refuses all
+    # three before power_table is asked
     params = GfpParams(GFP_R, 8)
     field = GfpFftField(params, backend=backend)
     omega = gfp_root(params, 256)
@@ -743,6 +750,8 @@ def test_gfp_plan_checks_base_root_before_any_table(backend):
     for skewed in (field.pow(omega, 3), field.pow(omega, 255)):
         with pytest.raises(ValueError, match="radix r"):
             build_plan(field, 16, 2, skewed)
+    with pytest.raises(ValueError, match="size must equal 2k"):
+        build_plan(field, 8, 2, gfp_root(params, 64))
     assert counts == []
 
 
@@ -778,10 +787,10 @@ def test_plan_size_limit_raises_before_any_table():
     with pytest.raises(ConfigurationError, match="MAX_N"):
         build_plan(field, 64, 10 ** 18, 1)
     assert counts == []
-    # the largest size allowed still builds: the base-root check asks for
-    # its 16 powers, then the plan for its twiddle table of all N powers
+    # the largest size allowed still builds, asking only for its twiddle
+    # table of all N powers
     build_plan(field, 16, 5, find_nth_root(p, fft.MAX_N))
-    assert counts == [16, fft.MAX_N]
+    assert counts == [fft.MAX_N]
 
 
 def test_montfield_adapter_operations():

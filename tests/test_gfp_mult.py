@@ -656,26 +656,19 @@ def test_field_adapter_scalar_helpers():
     assert gfp_sub(params, field.encode(0), field.one()) == gfp_encode(params, p - 1)
 
 
-def test_field_adapter_mul_pow_factories():
+def test_field_adapter_checks_base_root():
+    # only the base case of a GF(r^k + 1) transform: size 2k at root r
     k, r = TABLE3[0]
     params = GfpParams(r, k)
     p = params.p
     field = GfpFftField(params, backend="bigint")
-    rng = random.Random(SEED)
-    rot = field.root_power_mul_factory(field.shift_root, 2 * k)
-    for x in _specials(params, rng, 10):
-        for t in range(2 * k):
-            v = rot(x, t)
-            assert type(v) is int and 0 <= v < p
-            assert field.encode(v) == gfp_mul_pow_r(params, x, t)
-
-    # only the base case of a GF(r^k + 1) transform: 2k powers of r
-    with pytest.raises(ValueError):
-        field.root_power_mul_factory(gfp_encode(params, 3), 2 * k)
-    with pytest.raises(ValueError):
-        field.root_power_mul_factory(gfp_encode(params, pow(r, -1, p)), 2 * k)
-    with pytest.raises(ValueError):
-        field.root_power_mul_factory(field.shift_root, k)
+    assert field.check_base_root(gfp_encode(params, r), 2 * k) is None
+    with pytest.raises(ValueError, match="radix r"):
+        field.check_base_root(gfp_encode(params, 3), 2 * k)
+    with pytest.raises(ValueError, match="radix r"):
+        field.check_base_root(gfp_encode(params, pow(r, -1, p)), 2 * k)
+    with pytest.raises(ValueError, match="size must equal 2k"):
+        field.check_base_root(gfp_encode(params, r), k)
 
 
 @pytest.mark.parametrize("k,r", [TABLE3[0], (8, (1 << 63) + (1 << 34)),
