@@ -135,14 +135,15 @@ def read_gfpv(path):
 # verify
 
 def _verify_checks(k, r, seed, samples):
-    """Yields (name, ok, detail) tuples; detail explains the first failure."""
+    """Yields (name, ok, detail, failing) tuples; detail explains the first
+    failure, and failing is the failing operand pair, or None."""
     rng = random.Random(seed)
     params = GfpParams(r, k)
     # the prime set gfp_mul_fft convolves over for this field
     crt = gfp_mult._resolve(params, gfp_mult.crt_default())[0]
     report = gfp_mult.check_prime_compat(params, crt)
     yield "prime_compat", report.passed, "primes=%d slack=%d" % (
-        len(crt.primes), report.slack)
+        len(crt.primes), report.slack), None
 
     ok, detail = True, ""
     failing = None
@@ -172,7 +173,7 @@ def _verify_checks(k, r, seed, samples):
                 break
         if not ok:
             break
-    yield "cyclic_shift_vs_integers", ok, detail
+    yield "cyclic_shift_vs_integers", ok, detail, None
 
     ok, detail = True, ""
     failing = None
@@ -202,7 +203,7 @@ def _verify_checks(k, r, seed, samples):
                 break
         if not ok:
             break
-    yield "negacyclic_vs_schoolbook", ok, detail
+    yield "negacyclic_vs_schoolbook", ok, detail, None
 
     ok, detail = True, ""
     half = crt.half_range
@@ -212,7 +213,7 @@ def _verify_checks(k, r, seed, samples):
         if gfp_mult.crt_combine(*residues, crt).value() != v:
             ok, detail = False, "crt counterexample v=%d" % v
             break
-    yield "crt_roundtrip", ok, detail
+    yield "crt_roundtrip", ok, detail, None
 
     ok, detail = True, ""
     for _ in range(samples):
@@ -221,7 +222,7 @@ def _verify_checks(k, r, seed, samples):
         if t.value(r) != s or t.l >= r or t.h >= r:
             ok, detail = False, "lhc counterexample s=%d" % s
             break
-    yield "lhc_recomposition", ok, detail
+    yield "lhc_recomposition", ok, detail, None
 
 
 def cmd_verify(args, out):
@@ -229,16 +230,15 @@ def cmd_verify(args, out):
     r = _radix(args.r, k)
     failed = 0
     counterexample = None
-    for item in _verify_checks(k, r, args.seed, args.trials):
-        name, ok, detail = item[0], item[1], item[2]
+    for name, ok, detail, failing in _verify_checks(k, r, args.seed, args.trials):
         line = "%s %s" % ("PASS" if ok else "FAIL", name)
         if detail:
             line += " (%s)" % detail
         print(line, file=out)
         if not ok:
             failed += 1
-            if len(item) > 3 and item[3] and counterexample is None:
-                counterexample = item[3]
+            if failing and counterexample is None:
+                counterexample = failing
     print("verify: k=%d r=%d seed=%d: %s" %
           (k, r, args.seed, "all checks passed" if not failed
            else "%d check(s) failed" % failed), file=out)

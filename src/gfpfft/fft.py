@@ -25,10 +25,10 @@ mul(x, c), which multiplies a transform residue x by a table entry c.
 IntModField below defines both for plain residues mod a prime,
 mul(x, c) = x * c % p, and, through encode and decode, does the
 plan-time math of every field once on native ints: pow, one and
-power_table(omega, count), the plain residues omega^t, t < count, each
-_prepared into the form mul takes fastest.  A plan's twiddle table
-holds all N powers, so a twiddle block is one slice multiply, or N/K if
-the field sets split_twiddles (GfpFftField's fft backend).  MontField is
+power_table(omega, count), the plain residues omega^t, t < count.  The
+field's twiddle_table(omega, N, K) is the plan's table: all N powers,
+so a twiddle block is one slice multiply, or N/K entries in whatever
+form mul takes fastest (GfpFftField's fft backend).  MontField is
 an element codec only: a DFT is linear, so IntModField's arithmetic by
 plain-residue constants, run on Montgomery residues, gives the
 Montgomery form of the result.  A field with shift(x, t) = x * r^t,
@@ -41,11 +41,12 @@ field's check_base_root before it builds the twiddle table.  The other
 fields' inputs, and every plan's root, are checked with is_element.
 The arithmetic underneath checks nothing.
 
-Plans are immutable after construction and shareable; dft_general mutates
-exactly one caller-owned list.
+Plans are immutable records built only by build_plan, and shareable;
+dft_general mutates exactly one caller-owned list.
 """
 
 import time
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
@@ -88,19 +89,21 @@ def stride_permutation(v, m, n, offset=0):
 def twiddle_apply(v, m, n, omega_i, field):
     """Multiply v[j*m + i] by omega_i^(i*j) for j < n blocks of m lanes.
 
-    Runs the transforms' twiddle kernel at stride 1 on the m*n powers of
-    field.decode(omega_i); on a field with shift, the lanes it changed
-    are encoded back into elements.  Raises ValueError if v is shorter
-    than m*n.  A standalone helper: dft_general does not call it.
+    Decodes the m*n lanes, runs the transforms' twiddle kernel at stride
+    1 on the m*n powers of omega_i and encodes the lanes back.  Raises
+    ValueError, v unchanged, unless omega_i is a field element, v has at
+    least m*n entries and each of the first m*n is a field element.  A
+    standalone helper: dft_general does not call it.
     """
-    if len(v) < m * n:
-        raise ValueError("vector length must be at least m*n")
-    w, p = field.decode(omega_i), field.p
-    table = [pow(w, t, p) for t in range(m * n)]
-    _twiddle_level_cheap(v, 0, m, n, 1, table, None, field.mul)
-    if hasattr(field, "shift"):
-        for b in range(m, m * n, m):
-            v[b + 1:b + m] = map(field.encode, v[b + 1:b + m])
+    size = m * n
+    if not field.is_element(omega_i):
+        raise ValueError("omega_i is not an element of the field")
+    if len(v) < size or not all(map(field.is_element, v[:size])):
+        raise ValueError("v must start with m*n field elements")
+    lanes = list(map(field.decode, v[:size]))
+    _twiddle_level_cheap(lanes, 0, m, n, 1, field.power_table(omega_i, size),
+                         None, field.mul)
+    v[:size] = map(field.encode, lanes)
     return v
 
 
@@ -257,35 +260,21 @@ def convolution_kernels(q, k, theta):
 # ---------------------------------------------------------------------------
 # plans and the general transform
 
-class FftPlan:
-    """Precomputed data for a size K^e transform at root omega.  It owns
-    its twiddle_table: N residues, 44 MB at MAX_N for a 64-bit p and 97 MB
-    for a 473-bit p, or N/K FftOperands on GfpFftField's fft backend."""
-
-    def __init__(self, field, K, e, omega):
-        self.field = field
-        self.K = K
-        self.e = e
-        self.N = K ** e
-        self.omega = omega
-        self.omega_base = field.pow(omega, K ** (e - 1))
-        # a field that cannot run this base root raises here, before the
-        # twiddle table is built
-        field.check_base_root(self.omega_base, K)
-        self.twiddle_table = field.power_table(
-            omega, self.N // K if field.split_twiddles else self.N)
+Plan = namedtuple("Plan", "field K e N omega omega_base twiddle_table")
 
 
 def build_plan(field, K, e, omega):
-    """Validate omega and precompute the twiddle table.
+    """Check the sizes and omega, then build the plan's twiddle table.
 
+    K and e must have type int, so a float or a bool raises ValueError,
+    and K^e above MAX_N raises ConfigurationError before K^e is computed.
     omega must be a field element with omega^N = 1, omega^(N/2) = -1, and
-    the field's check_base_root must accept the base root omega^(N/K)
-    at size K; GfpFftField raises there unless K = 2k and the base root
-    is r.  Both checks come before the twiddle table of N residues, or
-    N/K operands (see FftPlan), is built.  K and e must have
-    type int, so a float or a bool raises ValueError, and K^e above MAX_N
-    raises ConfigurationError before K^e is computed.
+    the field's check_base_root must accept the base root omega^(N/K) at
+    size K; GfpFftField raises there unless K = 2k and the base root is
+    r.  Every check comes before field.twiddle_table(omega, N, K) builds
+    the table: N residues, 44 MB at MAX_N for a 64-bit p and 97 MB for a
+    473-bit p, or N/K FftOperands on GfpFftField's fft backend.  Returns
+    an immutable Plan that alone holds that table.
     """
     if type(K) is not int or type(e) is not int:
         raise ValueError("K and e must be ints")
@@ -302,7 +291,10 @@ def build_plan(field, K, e, omega):
     w = field.decode(omega)
     if pow(w, N, p) != 1 or pow(w, N // 2, p) != p - 1:
         raise ValueError("omega is not a primitive N-th root")
-    return FftPlan(field, K, e, omega)
+    omega_base = field.pow(omega, N // K)
+    field.check_base_root(omega_base, K)
+    return Plan(field, K, e, N, omega, omega_base,
+                field.twiddle_table(omega, N, K))
 
 
 def _base_pass(v, plan, field, m):
@@ -397,16 +389,12 @@ class IntModField:
 
     The base of the other fields, which define their element form, encode
     and decode, and may replace the hot-path arithmetic, is_element and
-    mul, and the plan check check_base_root.  mul(x, c) multiplies a
-    transform residue x by a table entry c as x * c % p; the entry is a
-    plain residue, so on an encoding that is linear over Z/pZ, such as
-    Montgomery form, x * c is again in that encoding.  pow, one and
-    power_table are written once here on native ints, and the _prepared
-    hook puts a plain residue from a power table in the form mul takes
-    fastest as its right operand.
+    mul, and the plan hooks check_base_root and twiddle_table.  mul(x, c)
+    multiplies a transform residue x by a table entry c as x * c % p; the
+    entry is a plain residue, so on an encoding that is linear over
+    Z/pZ, such as Montgomery form, x * c is again in that encoding.  pow,
+    one and power_table are written once here on native ints.
     """
-
-    split_twiddles = False
 
     def __init__(self, p):
         self.p = p
@@ -429,17 +417,19 @@ class IntModField:
     def one(self):
         return self.encode(1)
 
-    def _prepared(self, a):
-        return a
-
     def power_table(self, omega, count):
-        """[omega^t for t < count]: plain residues, each _prepared."""
+        """[omega^t for t < count] as plain residues."""
         w, p, wt = self.decode(omega), self.p, 1
         table = []
         for _ in range(count):
-            table.append(self._prepared(wt))
+            table.append(wt)
             wt = wt * w % p
         return table
+
+    def twiddle_table(self, omega, N, K):
+        """A size-N plan's twiddle table: all N powers of omega, so a
+        twiddle block is one slice multiply."""
+        return self.power_table(omega, N)
 
     def check_base_root(self, root, K):
         """Raise ValueError if the K-point base case cannot run at root;

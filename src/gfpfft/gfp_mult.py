@@ -234,11 +234,13 @@ def negacyclic_convolution(x, y, ctx, k):
 
     Inputs and output are plain residue vectors; the transforms run on
     the theta-weighted inputs, theta a primitive 2k-th root of unity.
+    Raises ValueError unless x and y are k residues reduced mod q, before
+    any plan is built.
     """
-    plan = _nega_plan((ctx.q,), k)
     for v in (x, y):
         if len(v) != k or not all(0 <= d < ctx.q for d in v):
             raise ValueError("inputs must be k residues reduced mod q")
+    plan = _nega_plan((ctx.q,), k)
     return plan.inv(plan.fwd(x), plan.fwd(y))
 
 
@@ -373,10 +375,10 @@ class GfpFftField(IntModField):
     backend; shift(x, t) = x * r^t is a multiply by the cached r^t mod p,
     t <= 2k, and marks the field as one that fft runs on residues and
     rotates through shift.  pow is IntModField's, whose checked decode
-    raises ValueError for a base that is not an element.  The fft backend
-    sets split_twiddles, and its _prepared turns a power table's residue
-    into an FftOperand.  check_base_root accepts only the base case of
-    size 2k at root r.
+    raises ValueError for a base that is not an element.  twiddle_table
+    alone picks the plan's table: N residues on the bigint backend, N/K
+    FftOperands on the fft backend.  check_base_root accepts only the
+    base case of size 2k at root r.
     """
 
     def __init__(self, params, crt=None, backend="fft"):
@@ -388,7 +390,6 @@ class GfpFftField(IntModField):
         self.params = params
         self.crt = crt
         self.backend = backend
-        self.split_twiddles = backend == "fft"
         codec = radix_codec(params.r, params.k)
         self.encode = codec.encode
         self.decode = codec.decode
@@ -404,10 +405,15 @@ class GfpFftField(IntModField):
                                      * (y if type(y) is int else value(y)) % p)
         self.shift = lambda x, t: (x if type(x) is int else value(x)) * powers[t] % p
 
-    def _prepared(self, a):
-        if self.backend == "fft":
-            return FftOperand(self.params, self.crt, self.encode(a))
-        return a
+    def twiddle_table(self, omega, N, K):
+        """The bigint backend's N plain powers of omega, or on the fft
+        backend omega^t, t < N/K, as N/K FftOperands: the twiddle stage
+        runs omega^(a*N/K + b) as a shift by r^a, since check_base_root
+        makes omega^(N/K) = r, and a multiply by omega^b."""
+        if self.backend == "bigint":
+            return self.power_table(omega, N)
+        return [FftOperand(self.params, self.crt, self.encode(t))
+                for t in self.power_table(omega, N // K)]
 
     def check_base_root(self, root, K):
         """Raise ValueError unless K = 2k and root is r: the paper picks

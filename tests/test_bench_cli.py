@@ -145,6 +145,15 @@ def test_verify_passes_and_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
+def test_verify_checks_yield_name_ok_detail_failing():
+    # every check, passing or not, yields the same four fields
+    r = (1 << 59) + (1 << 16)
+    items = list(bench_cli._verify_checks(8, r, 7, 4))
+    assert len(items) == 7
+    for name, ok, detail, failing in items:
+        assert type(name) is str and ok is True and failing is None
+
+
 def test_verify_extends_primes_for_oversized_radix(capsys):
     # k*r^2 = 2^127 outgrows the default pair; verify checks the field
     # over the three primes gfp_mul_fft uses for it

@@ -108,15 +108,20 @@ def test_stride_permutation_length_check():
 def test_twiddle_apply_powers(kind):
     # over MontField both the lanes and omega_i are Montgomery residues,
     # over GF(r^k + 1) digit tuples; each lane is an element again and is
-    # checked after decoding.  A vector shorter than m*n raises unchanged
+    # checked after decoding.  A vector shorter than m*n, a non-element in
+    # lane 0 (factor 1) or in the last lane, or a non-element omega_i
+    # raises, v unchanged
     if kind == "intmod":
         field, p, w = gf257(), 257, root_257(16)
+        bad = [257 + 7, -3, 1.0]
     elif kind == "mont":
         field, p, w = MontField(word_prime(P1)), P1, find_nth_root(P1, 16)
+        bad = [P1 + 7, -3, 1.0]
     else:
         params = GfpParams(GFP_R, 8)
         field, p = GfpFftField(params, backend=kind), params.p
         w = gfp_decode(params, gfp_root(params, 16))
+        bad = [(GFP_R + 5,) + (0,) * 7, (1, 2), 3]
     rng = random.Random(SEED)
     m, n = 4, 4
     v = [0, 1, p - 2, p - 1] + [rng.randrange(p) for _ in range(m * n - 4)]
@@ -132,6 +137,19 @@ def test_twiddle_apply_powers(kind):
     with pytest.raises(ValueError):
         twiddle_apply(short, m, n, field.encode(w), field)
     assert short == list(map(field.encode, v[:m * n - 1]))
+    for x in bad:
+        for i in (0, m * n - 1):
+            got = list(map(field.encode, v))
+            got[i] = x
+            with pytest.raises(ValueError):
+                twiddle_apply(got, m, n, field.encode(w), field)
+            assert got[:i] + got[i + 1:] == [field.encode(a) for a in v[:i] + v[i + 1:]]
+            assert got[i] is x
+        # nor is a non-element omega_i
+        got = list(map(field.encode, v))
+        with pytest.raises(ValueError):
+            twiddle_apply(got, m, n, x, field)
+        assert got == list(map(field.encode, v))
 
 
 def test_twiddle_diagonal_structure():
@@ -627,19 +645,18 @@ def test_twiddle_level_matches_native_pow(kind, K, e):
 
 @pytest.mark.parametrize("backend", ["fft", "bigint"])
 def test_gfp_plan_takes_twiddle_table_from_field(backend):
-    # one power table per field: plans take their twiddles from it.  The
-    # fft backend stores N/K prepared operands and splits each factor; the
-    # bigint backend multiplies residues, so it holds all N plain powers
+    # the field's twiddle_table is the plan's table.  The fft backend
+    # holds N/K operands and splits each factor; the bigint backend
+    # multiplies residues, so it holds all N plain powers
     params = GfpParams(GFP_R, 8)
     field = GfpFftField(params, backend=backend)
     omega = gfp_root(params, 256)
     plan = build_plan(field, 16, 2, omega)
+    table = field.twiddle_table(omega, 256, 16)
     if backend == "fft":
-        table = field.power_table(omega, 16)
         assert all(type(t) is FftOperand for t in table)
         assert table == [field.pow(omega, t) for t in range(16)]
     else:
-        table = field.power_table(omega, 256)
         assert all(type(t) is int for t in table)
         w, p = field.decode(omega), params.p
         assert table == [pow(w, t, p) for t in range(256)]
@@ -755,6 +772,22 @@ def test_gfp_plan_checks_base_root_before_any_table(backend):
     assert counts == []
 
 
+@pytest.mark.parametrize("kind", ["intmod", "fft"])
+def test_plan_attributes_cannot_be_rebound(kind):
+    if kind == "intmod":
+        plan = build_plan(gf257(), 8, 2, root_257(64))
+    else:
+        params = GfpParams(GFP_R, 8)
+        plan = build_plan(GfpFftField(params), 16, 2, gfp_root(params, 256))
+    for name in ("field", "K", "e", "N", "omega", "omega_base", "twiddle_table"):
+        value = getattr(plan, name)
+        with pytest.raises(AttributeError):
+            setattr(plan, name, value)
+        assert getattr(plan, name) is value
+    with pytest.raises(AttributeError):
+        plan.inverse = None
+
+
 def test_plan_rejects_bad_parameters():
     field = gf257()
     with pytest.raises(ValueError):
@@ -827,7 +860,5 @@ def test_field_plan_math_matches_native_ints(kind):
     w = find_nth_root(p, N) if kind in ("intmod", "mont") else \
         gfp_decode(field.params, gfp_root(field.params, N))
     plan = build_plan(field, K, e, field.encode(w))
-    table = field.power_table(plan.omega, 20)
-    # table entries are plain residues, except the fft backend's operands
-    value = field.decode if kind == "fft" else (lambda t: t)
-    assert [value(t) for t in table] == [pow(w, t, p) for t in range(20)]
+    # power tables hold plain residues on every field
+    assert field.power_table(plan.omega, 20) == [pow(w, t, p) for t in range(20)]

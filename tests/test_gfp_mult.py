@@ -9,6 +9,7 @@ from operator import mul
 
 import pytest
 
+from gfpfft import gfp_mult
 from gfpfft.fft import BASE_SIZES
 from gfpfft.gfp_field import (
     GfpParams, gfp_add, gfp_decode, gfp_encode, gfp_mul_pow_r, gfp_sub,
@@ -235,6 +236,19 @@ def test_convolution_rejects():
     small = word_prime(97)
     with pytest.raises(ValueError):
         negacyclic_convolution([0] * 64, [0] * 64, small, 64)  # 128 exceeds 2-adic part
+
+
+def test_convolution_checks_inputs_before_any_plan(monkeypatch):
+    # a bad input raises the input ValueError without building, or
+    # caching, the plan for k
+    def no_plan(primes, k):
+        raise AssertionError("plan built for k=%d" % k)
+
+    monkeypatch.setattr(gfp_mult, "_nega_plan", no_plan)
+    ctx = word_prime(P1)
+    for x, y in [([1, 2, 3], [0] * (1 << 16)), ([0] * (1 << 16), [P1] * (1 << 16))]:
+        with pytest.raises(ValueError, match="k residues"):
+            negacyclic_convolution(x, y, ctx, 1 << 16)
 
 
 # ---------------------------------------------------------------------------
