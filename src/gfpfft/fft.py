@@ -69,8 +69,12 @@ def stride_permutation(v, m, n, offset=0):
     Element j*m + i moves to position i*n + j: column i of the view is the
     extended slice [i::m], and the columns are laid out one after another.
     With an offset the permutation applies to the m*n block starting there,
-    and v may extend past that block on either side.
+    and v may extend past that block on either side.  Raises ValueError, v
+    unchanged, unless m and n are positive ints, offset is a non-negative
+    int and v has the block (bools are not ints here).
     """
+    if {type(m), type(n), type(offset)} != {int} or min(m, n, offset + 1) < 1:
+        raise ValueError("m, n must be positive ints and offset >= 0 an int")
     if len(v) < offset + m * n:
         raise ValueError("vector length must equal m*n")
     if m == 1 or n == 1:
@@ -91,10 +95,12 @@ def twiddle_apply(v, m, n, omega_i, field):
 
     Decodes the m*n lanes, runs the transforms' twiddle kernel at stride
     1 on the m*n powers of omega_i and encodes the lanes back.  Raises
-    ValueError, v unchanged, unless omega_i is a field element, v has at
-    least m*n entries and each of the first m*n is a field element.  A
-    standalone helper: dft_general does not call it.
+    ValueError, v unchanged, unless m and n are positive ints, omega_i is
+    a field element, v has at least m*n entries and each of the first m*n
+    is a field element.  A standalone helper: dft_general does not call it.
     """
+    if {type(m), type(n)} != {int} or min(m, n) < 1:
+        raise ValueError("m and n must be positive ints")
     size = m * n
     if not field.is_element(omega_i):
         raise ValueError("omega_i is not an element of the field")

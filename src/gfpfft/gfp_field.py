@@ -26,11 +26,10 @@ The codec's is_element defines a valid element, and is_canonical and
 check_canonical read it.  Every public operation checks each operand
 once and raises ValueError.  The codec's value trusts its input.
 
-GfpParams is immutable and shareable; all operations return fresh tuples.
+GfpParams is an immutable (r, k, p) namedtuple; operations return fresh tuples.
 """
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, sub
 
@@ -45,31 +44,41 @@ class ConfigurationError(ValueError):
     """Raised when a field or a (field, prime set) pair cannot be used."""
 
 
-@dataclass(frozen=True)
-class GfpParams:
-    """Field parameters (r, k).  p = r^k + 1 is implied.
+class GfpParams(namedtuple("GfpParams", "r k p")):
+    """Field parameters GfpParams(r, k), with p = r^k + 1 computed here.
 
     Digit arithmetic is well defined for any such p; field semantics such
     as inverses and roots of unity need p prime (the oracle module can
     check).  r and k must have type int, so a float or a bool raises
     ValueError; k above MAX_K raises ConfigurationError before p is
-    computed.
+    computed.  repr shows r and k only, since str(p) can pass Python's
+    int-to-str digit limit; copy, pickle, _make and _replace rebuild the
+    record through GfpParams(r, k), so p always follows r and k.
     """
 
-    r: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if type(self.r) is not int or type(self.k) is not int:
+    def __new__(cls, r, k):
+        if type(r) is not int or type(k) is not int:
             raise ValueError("r and k must be ints")
-        if self.k < 1 or self.k & (self.k - 1):
+        if k < 1 or k & (k - 1):
             raise ValueError("k must be a power of two")
-        if self.k > MAX_K:
-            raise ConfigurationError("k = %d exceeds MAX_K = %d"
-                                     % (self.k, MAX_K))
-        if not 2 <= self.r < (1 << 64):
+        if k > MAX_K:
+            raise ConfigurationError("k = %d exceeds MAX_K = %d" % (k, MAX_K))
+        if not 2 <= r < (1 << 64):
             raise ValueError("r must fit in a 64-bit word and be at least 2")
-        object.__setattr__(self, "p", self.r ** self.k + 1)
+        return super().__new__(cls, r, k, r ** k + 1)
+
+    def __getnewargs__(self):
+        return self.r, self.k
+
+    @classmethod
+    def _make(cls, fields):
+        r, k, _ = fields
+        return cls(r, k)
+
+    def __repr__(self):
+        return "GfpParams(r=%d, k=%d)" % (self.r, self.k)
 
 
 def is_canonical(params, x):

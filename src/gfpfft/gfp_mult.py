@@ -30,17 +30,16 @@ gfp_mul_fft and GfpFftField append the fewest of the library primes
 P1, P2, P3 that make it hold, and raise ConfigurationError only when no
 such extension exists.
 
-All plan/parameter objects are immutable and cached; every operation here
-is a pure function of its arguments.
+The records here are immutable namedtuples and the plans are cached;
+every operation here is a pure function of its arguments.
 """
 
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache, partial
 from itertools import combinations
 from math import gcd, prod
 from operator import mul
-from typing import NamedTuple
 
 from .fft import (BASE_SIZES, IntModField, build_plan, convolution_kernels,
                   dft_general, lap)
@@ -56,10 +55,8 @@ from .word_field import P1, P2, P3, find_nth_root, word_prime
 # ---------------------------------------------------------------------------
 # LHC splitting
 
-class LhcTriple(NamedTuple):
-    l: int
-    h: int
-    c: int
+class LhcTriple(namedtuple("LhcTriple", "l h c")):
+    __slots__ = ()
 
     def value(self, r):
         return self.l + self.h * r + self.c * r * r
@@ -70,10 +67,10 @@ def lhc_decompose(s, r):
 
     The caller guarantees s <= k*r^2 and attaches any sign itself.  c stays
     at most k; radices smaller than k are the only case where c can reach
-    r.
+    r.  s must have type int, so a float or a bool raises ValueError.
     """
-    if s < 0:
-        raise ValueError("value must be non-negative")
+    if type(s) is not int or s < 0:
+        raise ValueError("value must be a non-negative int")
     hc, l = divmod(s, r)
     c, h = divmod(hc, r)
     return LhcTriple(l, h, c)
@@ -82,16 +79,15 @@ def lhc_decompose(s, r):
 # ---------------------------------------------------------------------------
 # CRT reconstruction over a set of word primes
 
-class SignedCoefficient(NamedTuple):
-    magnitude: int
-    negative: bool
+class SignedCoefficient(namedtuple("SignedCoefficient", "magnitude negative")):
+    __slots__ = ()
 
     def value(self):
         return -self.magnitude if self.negative else self.magnitude
 
 
-@dataclass(frozen=True)
-class CrtParams:
+class CrtParams(namedtuple("CrtParams",
+                           "primes modulus half_range idempotents")):
     """Everything crt_combine needs, derived once from pairwise-coprime
     word primes q_1, ..., q_n (n >= 2), built by make(q_1, q_2, ...).
 
@@ -99,18 +95,10 @@ class CrtParams:
     rebuilt from its residues as sum(a_i * idempotents[i]) mod modulus.
     """
 
-    primes: tuple
-    modulus: int
-    half_range: int
-    idempotents: tuple
+    __slots__ = ()
 
-    @property
-    def p1(self):
-        return self.primes[0]
-
-    @property
-    def p2(self):
-        return self.primes[1]
+    p1 = property(lambda self: self.primes[0])
+    p2 = property(lambda self: self.primes[1])
 
     @classmethod
     def make(cls, q1=P1, q2=P2, *more):
@@ -138,24 +126,21 @@ def crt_default():
 def crt_combine(*args):
     """The signed v in [-half_range, half_range] with v = a_i mod q_i.
 
-    Called as crt_combine(a_1, ..., a_n, params) with one reduced residue
-    per prime of params, in the order of params.primes.
+    Called as crt_combine(a_1, ..., a_n, params) with one reduced int
+    residue per prime of params, in the order of params.primes.
     """
     *residues, params = args
     if len(residues) != len(params.primes):
         raise ValueError("expected one residue per prime")
     for a, q in zip(residues, params.primes):
-        if not 0 <= a < q:
-            raise ValueError("residues must be reduced")
+        if type(a) is not int or not 0 <= a < q:
+            raise ValueError("residues must be reduced ints")
     v = sum(map(mul, residues, params.idempotents)) % params.modulus
     negative = v > params.half_range
     return SignedCoefficient(params.modulus - v if negative else v, negative)
 
 
-class CompatReport(NamedTuple):
-    passed: bool
-    slack: int
-    reasons: tuple
+CompatReport = namedtuple("CompatReport", "passed slack reasons")
 
 
 def check_prime_compat(params, crt):
@@ -234,13 +219,14 @@ def negacyclic_convolution(x, y, ctx, k):
 
     Inputs and output are plain residue vectors; the transforms run on
     the theta-weighted inputs, theta a primitive 2k-th root of unity.
-    Raises ValueError unless x and y are k residues reduced mod q, before
-    any plan is built.
+    Raises ValueError unless x and y are k int residues reduced mod q,
+    before any plan is built.
     """
+    q = ctx.q
     for v in (x, y):
-        if len(v) != k or not all(0 <= d < ctx.q for d in v):
+        if len(v) != k or not all(type(d) is int and 0 <= d < q for d in v):
             raise ValueError("inputs must be k residues reduced mod q")
-    plan = _nega_plan((ctx.q,), k)
+    plan = _nega_plan((q,), k)
     return plan.inv(plan.fwd(x), plan.fwd(y))
 
 
@@ -316,8 +302,9 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
     [0, M) and their settle) and boundary (the two operand checks).
     """
     t0 = time.perf_counter() if profile is not None else 0
-    check_canonical(params, x)
-    check_canonical(params, y)
+    is_element = radix_codec(params.r, params.k).is_element
+    if not (is_element(x) and is_element(y)):
+        raise ValueError("non-canonical element")
     if profile is not None:
         lap(profile, "boundary", t0)
     return _mul_fft(params, crt, x, y, profile, digits=True)
@@ -326,7 +313,7 @@ def gfp_mul_fft(params, crt, x, y, profile=None):
 def _mul_fft(params, crt, x, y, profile=None, digits=False):
     # x*y mod p as a residue, or as an element when digits is true; x and
     # y are digit tuples or residues
-    crt, plan = _resolve(params, crt)
+    crt, plan = _resolved(params.r, params.k, crt.primes)
     if profile is not None:
         t0 = time.perf_counter()
     if type(x) is int:

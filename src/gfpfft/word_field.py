@@ -5,12 +5,12 @@ masking plain Python ints where a 64-bit machine would wrap.  The
 convolutions run on plain residues; Montgomery form is kept as a tested
 word layer.  find_nth_root is the one root search of the library: it
 works on plain ints for any modulus, and gfp_find_nth_root and
-word_primitive_root only encode its result.  WordPrime instances are
-immutable and safe to share; all operations are pure functions.
+word_primitive_root only encode its result.  A WordPrime is an immutable
+namedtuple record, safe to share; all operations are pure functions.
 """
 
 import random
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 
 MASK64 = (1 << 64) - 1
@@ -53,14 +53,11 @@ def _is_word_prime(n):
     return True
 
 
-@dataclass(frozen=True)
-class WordPrime:
-    """An odd prime q < 2^63 with its Montgomery constants (R = 2^64)."""
+class WordPrime(namedtuple("WordPrime", "q q_neg_inv r2 one_mont")):
+    """An odd prime q < 2^63 with its Montgomery constants (R = 2^64):
+    q_neg_inv = -q^{-1} mod 2^64, r2 = 2^128 mod q, one_mont = 2^64 mod q."""
 
-    q: int
-    q_neg_inv: int  # -q^{-1} mod 2^64
-    r2: int         # 2^128 mod q
-    one_mont: int   # 2^64 mod q
+    __slots__ = ()
 
     @classmethod
     def make(cls, q):

@@ -104,6 +104,28 @@ def test_stride_permutation_length_check():
         stride_permutation(list(range(7)), 2, 4)
 
 
+@pytest.mark.parametrize("n,m,sizes", [
+    (16, -2, (4,)), (16, 4, (-2,)), (8, 2, (2, -4)), (8, 0, (8,)),
+    (8, True, (8,)), (8, 2, (True,)), (8, 2, (2, True)), (8, 2.0, (4,)),
+    (8, 2, (2, 0.0)),
+])
+def test_stride_permutation_rejects_bad_sizes(n, m, sizes):
+    # unchecked, a negative m deletes entries, a negative n permutes a
+    # smaller block and a negative offset leaves v as it is
+    v = list(range(n))
+    with pytest.raises(ValueError):
+        stride_permutation(v, m, *sizes)
+    assert v == list(range(n))
+
+
+@pytest.mark.parametrize("m,n", [(-2, -3), (2, -4), (0, 8), (True, 8), (2, 4.0)])
+def test_twiddle_apply_rejects_bad_sizes(m, n):
+    v = [1] * 8
+    with pytest.raises(ValueError, match="positive ints"):
+        twiddle_apply(v, m, n, 5, IntModField(97))
+    assert v == [1] * 8
+
+
 @pytest.mark.parametrize("kind", ["intmod", "mont", "fft", "bigint"])
 def test_twiddle_apply_powers(kind):
     # over MontField both the lanes and omega_i are Montgomery residues,

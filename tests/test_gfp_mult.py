@@ -126,6 +126,18 @@ def test_crt_combine_rejects_unreduced():
         crt_combine(0, 0, P3, CrtParams.make(P1, P2, P3))
 
 
+@pytest.mark.parametrize("residues", [(1.5, 2), (1, 2.0), (True, 2), (1, False)])
+def test_crt_combine_rejects_residues_that_are_not_ints(residues):
+    with pytest.raises(ValueError, match="ints"):
+        crt_combine(*residues, crt_default())
+
+
+@pytest.mark.parametrize("s", [10.5, 10.0, True, False])
+def test_lhc_decompose_rejects_values_that_are_not_ints(s):
+    with pytest.raises(ValueError, match="int"):
+        lhc_decompose(s, 3)
+
+
 def test_crt_custom_pair_exhaustive():
     crt = CrtParams.make(101, 103)
     half = (101 * 103 - 1) // 2
@@ -236,6 +248,18 @@ def test_convolution_rejects():
     small = word_prime(97)
     with pytest.raises(ValueError):
         negacyclic_convolution([0] * 64, [0] * 64, small, 64)  # 128 exceeds 2-adic part
+
+
+@pytest.mark.parametrize("k", [8, 128])
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+def test_convolution_rejects_residues_that_are_not_ints(bad, k):
+    # unchecked, a float comes back as float coefficients at k = 8 and
+    # raises another error from dft_general at k = 128
+    ctx = word_prime(P1)
+    with pytest.raises(ValueError, match="k residues"):
+        negacyclic_convolution([bad] + [0] * (k - 1), [1] + [0] * (k - 1), ctx, k)
+    with pytest.raises(ValueError, match="k residues"):
+        negacyclic_convolution([1] + [0] * (k - 1), [0] * (k - 1) + [bad], ctx, k)
 
 
 def test_convolution_checks_inputs_before_any_plan(monkeypatch):

@@ -5,6 +5,9 @@ assert vanishes from optimized runs; the library raises its checks instead.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "gfpfft"
@@ -61,3 +64,14 @@ def test_all_lists_exactly_the_package_imports():
     assert set(gfpfft.__all__) == imported | {"__version__"}
     missing = [name for name in gfpfft.__all__ if not hasattr(gfpfft, name)]
     assert not missing, "unresolved names in __all__: %s" % ", ".join(missing)
+
+
+def test_import_loads_no_dataclasses_inspect_or_typing():
+    # -S keeps site, which can import typing by itself, out of the run;
+    # dataclasses would bring inspect, ast, dis and tokenize along
+    code = ("import gfpfft, sys; print(' '.join(sorted({'dataclasses', "
+            "'inspect', 'typing'} & set(sys.modules))))")
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    out = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.split() == []
