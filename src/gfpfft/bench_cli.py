@@ -7,13 +7,14 @@ Subcommands:
   bench-fft    time a full DFT of K^e points per backend, CSV with phases
   profile-mul  per-step percentage breakdown of the FFT multiplication
 
-Radices accept sparse syntax (2^59+2^16) alongside plain integers.  All
-input generation is seeded, and every timed run first cross-checks the
-backends against each other on the same inputs; a benchmark never reports
-numbers for diverging implementations.
+Radices accept sparse syntax (2^59+2^16) with exponents of at most three
+digits alongside plain integers.  All input generation is seeded, and
+every timed run first cross-checks the backends against each other on the
+same inputs; a benchmark never reports numbers for diverging implementations.
 
 Vector files use the GFPV binary layout: magic "GFPV", u32 version, u64
-k, u64 r, u64 count, then count*k little-endian digit words.
+k, u64 r, u64 count, then count*k little-endian digit words; the header's
+(r, k) must pass gfp_field.check_field, the rule of GfpParams.
 """
 
 import argparse
@@ -21,6 +22,7 @@ import csv
 import io
 import os
 import random
+import re
 import statistics
 import struct
 import sys
@@ -29,7 +31,7 @@ from functools import partial
 
 from . import gfp_field, gfp_mult, oracle
 from .fft import IntModField, base_case_ops, build_plan, dft_general
-from .gfp_field import MAX_K, GfpParams, gfp_decode, gfp_encode
+from .gfp_field import GfpParams, gfp_decode, gfp_encode
 from .word_field import word_prime
 
 # radices with r^k + 1 prime that fit the default prime pair; no sparse
@@ -46,34 +48,25 @@ BACKENDS = ("gfp-fft", "gfp-bigint", "oracle-bigint")
 
 
 class GfpvFormatError(ValueError):
-    """Bad magic, version, or truncated GFPV payload."""
+    """Bad magic, version or field, or truncated GFPV payload."""
 
 
 # ---------------------------------------------------------------------------
 # radix syntax and config
 
+# ASCII exponents of at most three digits: no shift passes 2^999 unchecked
+_SPARSE_RADIX = re.compile(r"2\^([0-9]{1,3})(?:([+-])2\^([0-9]{1,3}))?")
+
+
 def parse_radix(text):
     """Parse `2^a+2^b`, `2^a-2^b`, `2^a`, or a plain integer."""
     s = text.strip().replace(" ", "")
-    if "^" in s:
-        try:
-            first, rest = s.split("^", 1)
-            if first != "2":
-                raise ValueError
-            if "+" in rest:
-                a, b = rest.split("+", 1)
-                if not b.startswith("2^"):
-                    raise ValueError
-                val = (1 << int(a)) + (1 << int(b[2:]))
-            elif "-" in rest:
-                a, b = rest.split("-", 1)
-                if not b.startswith("2^"):
-                    raise ValueError
-                val = (1 << int(a)) - (1 << int(b[2:]))
-            else:
-                val = 1 << int(rest)
-        except (ValueError, IndexError):
-            raise ValueError("bad radix syntax: %r" % text) from None
+    m = _SPARSE_RADIX.fullmatch(s)
+    if m:
+        a, sign, b = m.groups()
+        val = 1 << int(a)
+        if sign:
+            val += (1 << int(b)) if sign == "+" else -(1 << int(b))
     else:
         try:
             val = int(s)
@@ -94,9 +87,17 @@ def _radix(text, k):
 # ---------------------------------------------------------------------------
 # GFPV vector files
 
+def _check_gfpv_field(k, r):
+    # check_field, not GfpParams: building p at k = MAX_K takes most of a
+    # second, which a 32-byte header must not cost
+    try:
+        gfp_field.check_field(r, k)
+    except ValueError as exc:
+        raise GfpvFormatError("bad field k=%r r=%r: %s" % (k, r, exc)) from None
+
+
 def write_gfpv(path, k, r, vectors):
-    if not 0 < k <= MAX_K or k & (k - 1) or r < 2:
-        raise ValueError("bad field k=%d r=%d" % (k, r))
+    _check_gfpv_field(k, r)
     # the whole payload is packed before open, so a bad row leaves no file
     try:
         data = struct.pack("<4sIQQQ", b"GFPV", 1, k, r, len(vectors)) + \
@@ -117,18 +118,12 @@ def read_gfpv(path):
     version, k, r, count = struct.unpack_from("<IQQQ", data, 4)
     if version != 1:
         raise GfpvFormatError("unsupported version %d" % version)
-    # before the row loop: k = 0 passes the length check for any count
-    if not 0 < k <= MAX_K or k & (k - 1) or r < 2:
-        raise GfpvFormatError("bad field k=%d r=%d" % (k, r))
+    # before the rows: k = 0 passes the length check for any count
+    _check_gfpv_field(k, r)
     need = 32 + count * k * 8
     if len(data) != need:
         raise GfpvFormatError("truncated payload: %d != %d bytes" % (len(data), need))
-    vectors = []
-    off = 32
-    for _ in range(count):
-        vectors.append(struct.unpack_from("<%dQ" % k, data, off))
-        off += 8 * k
-    return k, r, vectors
+    return k, r, list(struct.iter_unpack("<%dQ" % k, memoryview(data)[32:]))
 
 
 # ---------------------------------------------------------------------------
@@ -139,90 +134,78 @@ def _verify_checks(k, r, seed, samples):
     failure, and failing is the failing operand pair, or None."""
     rng = random.Random(seed)
     params = GfpParams(r, k)
+    p = params.p
     # the prime set gfp_mul_fft convolves over for this field
     crt = gfp_mult._resolve(params, gfp_mult.crt_default())[0]
     report = gfp_mult.check_prime_compat(params, crt)
     yield "prime_compat", report.passed, "primes=%d slack=%d" % (
         len(crt.primes), report.slack), None
 
-    ok, detail = True, ""
-    failing = None
-    for _ in range(samples):
-        a, b = rng.randrange(params.p), rng.randrange(params.p)
-        x, y = gfp_encode(params, a), gfp_encode(params, b)
-        s = gfp_field.gfp_add(params, x, y)
-        if gfp_decode(params, s) != (a + b) % params.p:
-            ok, detail = False, "add counterexample a=%d b=%d" % (a, b)
-            failing = (x, y)
-            break
-        d = gfp_field.gfp_sub(params, x, y)
-        if gfp_decode(params, d) != (a - b) % params.p:
-            ok, detail = False, "sub counterexample a=%d b=%d" % (a, b)
-            failing = (x, y)
-            break
-    yield "add_sub_vs_integers", ok, detail, failing
-
-    ok, detail = True, ""
-    for _ in range(max(1, samples // 4)):
-        a = rng.randrange(params.p)
-        x = gfp_encode(params, a)
-        for i in range(2 * k + 1):
-            got = gfp_field.gfp_mul_pow_r(params, x, i)
-            if gfp_decode(params, got) != a * pow(r, i, params.p) % params.p:
-                ok, detail = False, "shift counterexample a=%d i=%d" % (a, i)
-                break
-        if not ok:
-            break
-    yield "cyclic_shift_vs_integers", ok, detail, None
-
-    ok, detail = True, ""
-    failing = None
-    for _ in range(samples):
-        a, b = rng.randrange(params.p), rng.randrange(params.p)
-        x, y = gfp_encode(params, a), gfp_encode(params, b)
-        u_fft = gfp_mult.gfp_mul_fft(params, crt, x, y)
-        u_big = gfp_mult.gfp_mul_bigint(params, x, y)
-        u_prep = gfp_mult.gfp_mul_fft(params, crt, x,
-                                      gfp_mult.FftOperand(params, crt, y))
-        want = oracle.oracle_mod_mul(params.p, a, b)
-        if not u_fft == u_big == u_prep or gfp_decode(params, u_fft) != want:
-            ok, detail = False, "mul counterexample a=%d b=%d" % (a, b)
-            failing = (x, y)
-            break
-    yield "mul_fft_vs_bigint_vs_oracle", ok, detail, failing
-
-    ok, detail = True, ""
-    for q in crt.primes:
-        ctx = word_prime(q)
+    # each check yields (detail, failing pair or None) per counterexample;
+    # the runner below takes the first, so later samples are never drawn
+    def add_sub():
         for _ in range(samples):
-            x = [rng.randrange(ctx.q) for _ in range(k)]
-            y = [rng.randrange(ctx.q) for _ in range(k)]
-            if list(gfp_mult.negacyclic_convolution(x, y, ctx, k)) != \
-                    list(oracle.oracle_negacyclic(x, y, ctx)):
-                ok, detail = False, "negacyclic counterexample q=%d" % ctx.q
-                break
-        if not ok:
-            break
-    yield "negacyclic_vs_schoolbook", ok, detail, None
+            a, b = rng.randrange(p), rng.randrange(p)
+            x, y = gfp_encode(params, a), gfp_encode(params, b)
+            if gfp_decode(params, gfp_field.gfp_add(params, x, y)) != (a + b) % p:
+                yield "add counterexample a=%d b=%d" % (a, b), (x, y)
+            if gfp_decode(params, gfp_field.gfp_sub(params, x, y)) != (a - b) % p:
+                yield "sub counterexample a=%d b=%d" % (a, b), (x, y)
 
-    ok, detail = True, ""
-    half = crt.half_range
-    for _ in range(samples):
-        v = rng.randrange(-half, half + 1)
-        residues = [v % q for q in crt.primes]
-        if gfp_mult.crt_combine(*residues, crt).value() != v:
-            ok, detail = False, "crt counterexample v=%d" % v
-            break
-    yield "crt_roundtrip", ok, detail, None
+    def cyclic_shift():
+        for _ in range(max(1, samples // 4)):
+            a = rng.randrange(p)
+            x = gfp_encode(params, a)
+            for i in range(2 * k + 1):
+                got = gfp_field.gfp_mul_pow_r(params, x, i)
+                if gfp_decode(params, got) != a * pow(r, i, p) % p:
+                    yield "shift counterexample a=%d i=%d" % (a, i), None
 
-    ok, detail = True, ""
-    for _ in range(samples):
-        s = rng.randrange(k * r * r)
-        t = gfp_mult.lhc_decompose(s, r)
-        if t.value(r) != s or t.l >= r or t.h >= r:
-            ok, detail = False, "lhc counterexample s=%d" % s
-            break
-    yield "lhc_recomposition", ok, detail, None
+    def mul():
+        for _ in range(samples):
+            a, b = rng.randrange(p), rng.randrange(p)
+            x, y = gfp_encode(params, a), gfp_encode(params, b)
+            u_fft = gfp_mult.gfp_mul_fft(params, crt, x, y)
+            u_big = gfp_mult.gfp_mul_bigint(params, x, y)
+            u_prep = gfp_mult.gfp_mul_fft(params, crt, x,
+                                          gfp_mult.FftOperand(params, crt, y))
+            want = oracle.oracle_mod_mul(p, a, b)
+            if not u_fft == u_big == u_prep or gfp_decode(params, u_fft) != want:
+                yield "mul counterexample a=%d b=%d" % (a, b), (x, y)
+
+    def negacyclic():
+        for q in crt.primes:
+            ctx = word_prime(q)
+            for _ in range(samples):
+                x = [rng.randrange(q) for _ in range(k)]
+                y = [rng.randrange(q) for _ in range(k)]
+                if list(gfp_mult.negacyclic_convolution(x, y, ctx, k)) != \
+                        list(oracle.oracle_negacyclic(x, y, ctx)):
+                    yield "negacyclic counterexample q=%d" % q, None
+
+    def crt_roundtrip():
+        half = crt.half_range
+        for _ in range(samples):
+            v = rng.randrange(-half, half + 1)
+            residues = [v % q for q in crt.primes]
+            if gfp_mult.crt_combine(*residues, crt).value() != v:
+                yield "crt counterexample v=%d" % v, None
+
+    def lhc():
+        for _ in range(samples):
+            s = rng.randrange(k * r * r)
+            t = gfp_mult.lhc_decompose(s, r)
+            if t.value(r) != s or t.l >= r or t.h >= r:
+                yield "lhc counterexample s=%d" % s, None
+
+    for name, check in (("add_sub_vs_integers", add_sub),
+                        ("cyclic_shift_vs_integers", cyclic_shift),
+                        ("mul_fft_vs_bigint_vs_oracle", mul),
+                        ("negacyclic_vs_schoolbook", negacyclic),
+                        ("crt_roundtrip", crt_roundtrip),
+                        ("lhc_recomposition", lhc)):
+        detail, failing = next(check(), ("", None))
+        yield name, not detail, detail, failing
 
 
 def cmd_verify(args, out):
@@ -386,10 +369,11 @@ def cmd_bench_fft(args, out):
                 total /= trials
                 for key in profile:
                     profile[key] /= trials
-                avg = total / _mult_count(K, e)
+                count = _mult_count(K, e)  # 0 at K = 2: no twiddle multiplies
                 rows.append([K, e, backend, "%.6f" % total]
                             + ["%.6f" % profile.get(phase, 0.0) for phase in phases]
-                            + ["%.9f" % avg, verified])
+                            + ["%.9f" % (total / count) if count else "n/a",
+                               verified])
             for row in rows:
                 writer.writerow(row)
     return 0

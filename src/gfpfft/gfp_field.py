@@ -27,6 +27,8 @@ check_canonical read it.  Every public operation checks each operand
 once and raises ValueError.  The codec's value trusts its input.
 
 GfpParams is an immutable (r, k, p) namedtuple; operations return fresh tuples.
+check_field(r, k) alone states which (r, k) make a field: GfpParams runs
+it before it builds p, and bench_cli runs it on each GFPV file header.
 """
 
 from collections import namedtuple
@@ -44,14 +46,26 @@ class ConfigurationError(ValueError):
     """Raised when a field or a (field, prime set) pair cannot be used."""
 
 
+def check_field(r, k):
+    """The field rule, without building p: r and k have type int (not
+    bool), k is a power of two up to MAX_K (ConfigurationError above)
+    and 2 <= r < 2^64; anything else raises ValueError."""
+    if type(r) is not int or type(k) is not int:
+        raise ValueError("r and k must be ints")
+    if k < 1 or k & (k - 1):
+        raise ValueError("k must be a power of two")
+    if k > MAX_K:
+        raise ConfigurationError("k = %d exceeds MAX_K = %d" % (k, MAX_K))
+    if not 2 <= r < (1 << 64):
+        raise ValueError("r must fit in a 64-bit word and be at least 2")
+
+
 class GfpParams(namedtuple("GfpParams", "r k p")):
-    """Field parameters GfpParams(r, k), with p = r^k + 1 computed here.
+    """Field parameters GfpParams(r, k): check_field(r, k), then p = r^k + 1.
 
     Digit arithmetic is well defined for any such p; field semantics such
     as inverses and roots of unity need p prime (the oracle module can
-    check).  r and k must have type int, so a float or a bool raises
-    ValueError; k above MAX_K raises ConfigurationError before p is
-    computed.  repr shows r and k only, since str(p) can pass Python's
+    check).  repr shows r and k only, since str(p) can pass Python's
     int-to-str digit limit; copy, pickle, _make and _replace rebuild the
     record through GfpParams(r, k), so p always follows r and k.
     """
@@ -59,14 +73,7 @@ class GfpParams(namedtuple("GfpParams", "r k p")):
     __slots__ = ()
 
     def __new__(cls, r, k):
-        if type(r) is not int or type(k) is not int:
-            raise ValueError("r and k must be ints")
-        if k < 1 or k & (k - 1):
-            raise ValueError("k must be a power of two")
-        if k > MAX_K:
-            raise ConfigurationError("k = %d exceeds MAX_K = %d" % (k, MAX_K))
-        if not 2 <= r < (1 << 64):
-            raise ValueError("r must fit in a 64-bit word and be at least 2")
+        check_field(r, k)
         return super().__new__(cls, r, k, r ** k + 1)
 
     def __getnewargs__(self):

@@ -103,6 +103,8 @@ class CrtParams(namedtuple("CrtParams",
     @classmethod
     def make(cls, q1=P1, q2=P2, *more):
         primes = (q1, q2) + more
+        if any(type(q) is not int for q in primes):
+            raise ValueError("primes must be ints")
         for i, q in enumerate(primes):
             if any(gcd(q, other) != 1 for other in primes[i + 1:]):
                 raise ValueError("primes must be pairwise coprime")

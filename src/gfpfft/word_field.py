@@ -61,7 +61,7 @@ class WordPrime(namedtuple("WordPrime", "q q_neg_inv r2 one_mont")):
 
     @classmethod
     def make(cls, q):
-        if q < 3 or q % 2 == 0:
+        if type(q) is not int or q < 3 or q % 2 == 0:
             raise ValueError("q must be an odd prime")
         if q >= 1 << 63:
             raise ValueError("q must be below 2^63")
@@ -73,7 +73,7 @@ class WordPrime(namedtuple("WordPrime", "q q_neg_inv r2 one_mont")):
         return cls(q, q_neg_inv, (1 << 128) % q, (1 << 64) % q)
 
 
-@lru_cache(maxsize=64)  # bounded: q comes from the caller
+@lru_cache(maxsize=64, typed=True)  # bounded; typed, so 97.0 reaches make
 def word_prime(q):
     """Shared WordPrime instance for q."""
     return WordPrime.make(q)
@@ -90,8 +90,8 @@ def mont_mul(ctx, a, b):
 
 
 def mont_convert_in(ctx, a):
-    if not 0 <= a < ctx.q:
-        raise ValueError("input must be reduced")
+    if type(a) is not int or not 0 <= a < ctx.q:
+        raise ValueError("a must be a reduced int")
     return mont_mul(ctx, a, ctx.r2)
 
 
@@ -114,8 +114,10 @@ def find_nth_root(m, n, seed=0):
     a seeded RNG, raised to (m-1)/n, and accepted once g^(n/2) = m - 1,
     so the result is deterministic per seed.  For a prime m about half
     the draws succeed; ValueError after ROOT_SEARCH_DRAWS failures, as for
-    a composite m.
+    a composite m, and for an m or n that is not an int, bool included.
     """
+    if type(m) is not int or type(n) is not int:
+        raise ValueError("m and n must be ints")
     if n < 1 or n & (n - 1):
         raise ValueError("n must be a power of two")
     if (m - 1) % n:

@@ -1,7 +1,13 @@
 """Command-line front end: radix parsing, GFPV files, subcommands."""
 
 import csv
+import io
+import os
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +15,10 @@ from gfpfft import bench_cli, gfp_field
 from gfpfft.bench_cli import (
     GfpvFormatError, build_parser, main, parse_radix, read_gfpv, write_gfpv,
 )
-from gfpfft.gfp_field import GfpParams, gfp_encode
+from gfpfft.gfp_field import MAX_K, GfpParams, gfp_encode
 
 SEED = 0x3C11
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 # ---------------------------------------------------------------------------
@@ -36,10 +43,26 @@ def test_parse_radix_forms():
     "2^a+2^b",
     "2^-3",
     "",
+    "2^\u0666\u0662",  # 2^62 in Arabic-Indic digits: exponents are ASCII
 ])
 def test_parse_radix_rejects(text):
     with pytest.raises(ValueError):
         parse_radix(text)
+
+
+def test_parse_radix_bounds_exponent_before_shifting():
+    # exponents have at most three digits, so a long one is refused without
+    # the shift it asks for: 2^100000000 alone would be a 12.5 MB int
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="bad radix syntax"):
+            parse_radix("2^100000000")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    with pytest.raises(ValueError, match="out of word range"):
+        parse_radix("2^999")
 
 
 # ---------------------------------------------------------------------------
@@ -102,20 +125,35 @@ def test_gfpv_read_rejects_bad_field_before_rows(tmp_path, monkeypatch, k, r):
         assert offset == 4, "read_gfpv reached the row loop"
         return unpack_from(fmt, data, offset)
 
+    def rows(fmt, buffer):
+        raise AssertionError("read_gfpv reached the rows")
+
     monkeypatch.setattr(bench_cli.struct, "unpack_from", header_only)
+    monkeypatch.setattr(bench_cli.struct, "iter_unpack", rows)
     with pytest.raises(GfpvFormatError, match="bad field"):
         read_gfpv(path)
 
 
 @pytest.mark.parametrize("k,r", [(3, 10), (0, 1 << 62), (3, 1 << 62),
-                                 (1 << 17, 1 << 62), (8, 1), (8, 0)])
+                                 (1 << 17, 1 << 62), (8, 1), (8, 0),
+                                 (8.0, 1 << 62), (True, 5)])
 def test_gfpv_write_rejects_bad_field_before_file(tmp_path, k, r):
-    # write_gfpv refuses every field read_gfpv refuses, and raises before
-    # the file is created
+    # write_gfpv refuses every field GfpParams refuses, with no rows to
+    # pack, and raises before the file is created; True once wrote k = 1
     path = tmp_path / "field.gfpv"
-    with pytest.raises(ValueError, match="bad field"):
-        write_gfpv(path, k, r, [(1, 2, 3)])
+    with pytest.raises(GfpvFormatError, match="bad field"):
+        write_gfpv(path, k, r, [])
     assert not path.exists()
+
+
+def test_gfpv_field_check_builds_no_params(tmp_path, monkeypatch):
+    # the header is checked by gfp_field.check_field alone: GfpParams would
+    # build p = r^k + 1, most of a second at k = MAX_K
+    monkeypatch.setattr(gfp_field, "GfpParams", None)
+    monkeypatch.setattr(bench_cli, "GfpParams", None)
+    path = tmp_path / "wide.gfpv"
+    write_gfpv(path, MAX_K, (1 << 64) - 1, [])
+    assert read_gfpv(path) == (MAX_K, (1 << 64) - 1, [])
 
 
 @pytest.mark.parametrize("rows", [[(0,) * 8, (1, 2, 3)], [(0,) * 7 + (1 << 64,)],
@@ -287,9 +325,21 @@ def test_profile_mul_percentages(tmp_path):
     assert float(row["boundary_pct"]) > 0
 
 
+@pytest.mark.parametrize("backend", bench_cli.BACKENDS)
+def test_bench_fft_two_points_reports_no_average(backend, capsys):
+    # K = 2 (p = 3) has no twiddle multiplies to average over
+    rc = main(["bench-fft", "--K", "2", "--e", "1", "--r", "2",
+               "--backend", backend])
+    assert rc == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert [(r["backend"], r["avg_mult_seconds"]) for r in rows] == \
+        [(backend, "n/a")]
+
+
 def test_mult_count_closed_form():
     assert bench_cli._mult_count(8, 1) == 5
     assert bench_cli._mult_count(8, 2) == 129
+    assert bench_cli._mult_count(2, 1) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -356,3 +406,20 @@ def test_failing_command_keeps_existing_out_file(argv, tmp_path):
     out.write_text("kept line\n")
     assert main(argv + ["--out", str(out)]) == 2
     assert out.read_text() == "kept line\n"
+
+
+def test_module_entry_point():
+    # python -m gfpfft runs main and exits with its status
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", "gfpfft", *argv], env=env,
+                              capture_output=True, text=True, timeout=300)
+
+    ok = run("verify", "--k", "8", "--trials", "3")
+    assert ok.returncode == 0
+    assert sum(line.startswith("PASS ") for line in ok.stdout.splitlines()) == 7
+    assert "all checks passed" in ok.stdout
+    bad = run("bench-mul", "--r", "2^x")
+    assert bad.returncode == 2
+    assert "error:" in bad.stderr and "Traceback" not in bad.stderr

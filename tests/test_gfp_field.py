@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from gfpfft import gfp_mult
+from gfpfft import gfp_field, gfp_mult
 from gfpfft.gfp_field import (
     MAX_K, STRAIGHT_LINE_K, ConfigurationError, GfpParams, gfp_add,
     gfp_decode, gfp_encode, gfp_find_nth_root, gfp_mul_pow_r,
@@ -64,6 +64,20 @@ def test_params_max_k():
         with pytest.raises(ConfigurationError, match="MAX_K"):
             GfpParams(2, k)
     assert GfpParams(2, MAX_K).p == 2 ** MAX_K + 1
+
+
+@pytest.mark.parametrize("r,k", [(10, 3), (10, 0), (1, 8), (1 << 64, 8),
+                                 (2, 2 * MAX_K), (8.0, 1 << 62), (5, True),
+                                 (True, 1), (10, 4.0)])
+def test_check_field_is_the_params_rule(r, k):
+    # GfpParams and the GFPV header state the field rule once, in check_field
+    with pytest.raises(ValueError) as want:
+        GfpParams(r, k)
+    with pytest.raises(ValueError) as got:
+        gfp_field.check_field(r, k)
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
+    assert gfp_field.check_field(2, MAX_K) is None
 
 
 def test_zero_one_shapes():

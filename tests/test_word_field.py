@@ -5,10 +5,11 @@ from math import gcd
 
 import pytest
 
+from gfpfft.gfp_mult import CrtParams
 from gfpfft.oracle import oracle_is_probable_prime
 from gfpfft.word_field import (
-    MASK64, P1, P2, P3, WordPrime, mont_convert_in, mont_convert_out,
-    mont_inv, mont_mul, word_prime, word_primitive_root,
+    MASK64, P1, P2, P3, WordPrime, find_nth_root, mont_convert_in,
+    mont_convert_out, mont_inv, mont_mul, word_prime, word_primitive_root,
 )
 
 SEED = 0x77F0
@@ -45,6 +46,25 @@ def test_word_prime_rejects():
         WordPrime.make((1 << 63) + 9)
     with pytest.raises(ValueError):
         word_prime(65)
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: word_prime(97.0), "q must"),
+    (lambda: find_nth_root(97.0, 4), "m and n"),
+    (lambda: find_nth_root(97, 4.0), "m and n"),
+    (lambda: find_nth_root(97, True), "m and n"),
+    (lambda: CrtParams.make(97.0, 193), "primes must be ints"),
+    (lambda: mont_convert_in(word_prime(97), 5.0), "a must"),
+    (lambda: mont_convert_in(word_prime(97), True), "a must"),
+    (lambda: word_primitive_root(word_prime(97), True), "m and n"),
+], ids=["word_prime-float", "root-float-m", "root-float-n", "root-bool-n",
+        "crt-float", "convert-float", "convert-bool", "primitive-root-bool"])
+def test_word_entry_points_reject_non_ints(call, message):
+    # a float raised TypeError inside pow or &, and a bool passed as 1;
+    # word_prime(97) is cached first, since 97.0 hashed onto its entry
+    word_prime(97)
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 def test_word_prime_primality_matches_oracle():
